@@ -230,7 +230,7 @@ def _cmd_selftest(args):
 
 def _cmd_gantt(args):
     from .core.replacement import replace_and_schedule
-    from .core.merging import merge_candidates
+    from .core.merging import is_single_asfu, merge_candidates
     from .graph.export import schedule_to_gantt
 
     workload = get_workload(args.workload)
@@ -243,7 +243,8 @@ def _cmd_gantt(args):
     if hot is None:
         print("no explorable block found", file=sys.stderr)
         return 1
-    merged = merge_candidates(explored.candidates)
+    merged = merge_candidates(explored.candidates,
+                              single_asfu=is_single_asfu(flow.machine))
     baseline, __ = replace_and_schedule(
         hot.dfg, [], flow.machine, flow.technology, flow.constraints)
     schedule, ___ = replace_and_schedule(

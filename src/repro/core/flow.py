@@ -7,6 +7,18 @@ The flow separates the expensive part (profiling + exploration, done
 once per application/machine) from the cheap part (selection under a
 given area / ISE-count budget + replacement), so the evaluation sweeps
 of chapter 5 re-use one :class:`ExploredApplication` across budgets.
+
+:meth:`ISEDesignFlow.evaluate` splits the cheap part once more.  Its
+*plan* (:meth:`ISEDesignFlow.replacement_plan`, a
+:class:`~repro.core.replacement.ReplacementPlan`) holds everything no
+budget changes: the merged ISE list, each block's host graph, each
+representative's pattern and every (block, merged ISE) match proposal
+with its legality, option and pipestage checks done.  It is built once
+per explored application and replacement configuration and cached on
+the :class:`ExploredApplication` (never pickled).  Per budget only
+selection, the greedy disjoint pick over the selected ISEs' proposals,
+contraction and list scheduling run — and the last three only when the
+block's ordered tuple of selected ISEs has not been scheduled before.
 """
 
 import warnings
@@ -22,9 +34,11 @@ from ..obs import ensure_observer
 from ..sched.list_scheduler import list_schedule
 from ..sched.units import contract_dfg
 from .. import engines
-from .merging import merge_candidates
+from .merging import is_single_asfu, merge_candidates
 from .parallel import parallel_map, resolve_jobs
-from .replacement import replace_and_schedule
+# replace_and_schedule is the one-shot path (CLI gantt, tests); the name
+# stays importable here for the layer tracer in perfbench/layers.py.
+from .replacement import ReplacementPlan, replace_and_schedule  # noqa: F401
 from .selection import select_ises
 
 
@@ -88,7 +102,12 @@ class BlockInstance:
 
 
 class ExploredApplication:
-    """Profiling + exploration output, reusable across budgets."""
+    """Profiling + exploration output, reusable across budgets.
+
+    ``_plans`` caches :meth:`ISEDesignFlow.replacement_plan` results by
+    their replacement key.  It is derived state: pickles leave it out,
+    so cached and shipped bundles keep their layout.
+    """
 
     def __init__(self, program, machine, blocks, candidates, explored_labels,
                  technology, constraints):
@@ -99,6 +118,16 @@ class ExploredApplication:
         self.explored_labels = explored_labels
         self.technology = technology
         self.constraints = constraints
+        self._plans = {}
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._plans = {}
 
     @property
     def baseline_cycles(self):
@@ -218,31 +247,18 @@ class ISEDesignFlow:
                 blocks.append(BlockInstance(
                     func.name, block.label, segments, calls, freq))
         for instance in blocks:
-            instance.base_cycles = self._block_cycles(instance, groups=None)
+            instance.base_cycles = self._block_cycles(instance)
         return blocks
 
-    def _block_cycles(self, instance, groups=None, selected=None):
-        """Body cycles of a block (sum of its segments).
-
-        ``selected`` (merged ISEs) triggers replacement per segment;
-        ``groups`` directly supplies contraction groups for the single
-        segment (explorer output).
-        """
+    def _block_cycles(self, instance):
+        """Body cycles of a block without ISEs (sum of its segments)."""
         total = instance.calls
         for segment in instance.segments:
             if len(segment) == 0:
                 continue
-            if selected is not None:
-                schedule, __ = replace_and_schedule(
-                    segment, selected, self.machine, self.technology,
-                    self.constraints, priority=self.priority,
-                    obs=self.obs)
-            else:
-                segment_groups = groups if groups is not None else []
-                graph, units = contract_dfg(
-                    segment, segment_groups, self.technology)
-                schedule = list_schedule(graph, units, self.machine,
-                                         priority=self.priority)
+            graph, units = contract_dfg(segment, [], self.technology)
+            schedule = list_schedule(graph, units, self.machine,
+                                     priority=self.priority)
             total += schedule.makespan
         return total
 
@@ -336,15 +352,37 @@ class ISEDesignFlow:
 
     # -- stage 3: merge + select + replace + schedule ---------------------------
 
+    def replacement_plan(self, explored):
+        """The budget-invariant half of :meth:`evaluate` for ``explored``.
+
+        Cached on ``explored`` under everything replacement reads from
+        this flow — merge condition (2), the legality fields of
+        ``constraints``, technology, machine and priority — so flows
+        that differ only in those never share a plan.  Racing callers
+        may each build one; ``setdefault`` keeps the first and the
+        loser's is an equal, discarded copy.
+        """
+        c = self.constraints
+        single_asfu = is_single_asfu(self.machine)
+        key = (single_asfu, c.n_in, c.n_out, c.max_ise_cycles,
+               c.forbid_memory_ops, self.technology, self.machine,
+               self.priority)
+        plan = explored._plans.get(key)
+        if plan is None:
+            merged = merge_candidates(explored.candidates,
+                                      single_asfu=single_asfu)
+            plan = explored._plans.setdefault(key, ReplacementPlan(
+                merged, c, self.technology, machine=self.machine,
+                priority=self.priority))
+        return plan
+
     def evaluate(self, explored, constraints=None, enable_sharing=True):
         """Select ISEs under ``constraints`` and produce final metrics."""
         constraints = constraints or self.constraints
-        single_asfu = self.machine.fu_counts.get("asfu", 1) <= 1
         obs = self.obs
         with obs.timer("flow.evaluate"):
-            merged = merge_candidates(explored.candidates,
-                                      single_asfu=single_asfu)
-            selection = select_ises(merged, constraints,
+            plan = self.replacement_plan(explored)
+            selection = select_ises(plan.merged, constraints,
                                     enable_sharing=enable_sharing)
             final_cycles = 0
             block_results = {}
@@ -352,8 +390,8 @@ class ISEDesignFlow:
                 if instance.freq <= 0:
                     continue
                 if instance.explorable and selection.selected:
-                    cycles = self._block_cycles(
-                        instance, selected=selection.selected)
+                    cycles = plan.makespan(instance.dfg, selection.selected,
+                                           obs=obs)
                 else:
                     cycles = instance.base_cycles
                 # A compiler would keep the original code if replacement

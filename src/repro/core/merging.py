@@ -47,31 +47,40 @@ class MergedISE:
             self.representative, len(self.absorbed))
 
 
+def is_single_asfu(machine):
+    """Condition (2) holds on ``machine``: at most one ASFU issue slot.
+
+    The one definition :meth:`~repro.core.flow.ISEDesignFlow.evaluate`
+    and every other caller of :func:`merge_candidates` share.
+    """
+    return machine.fu_counts.get("asfu", 1) <= 1
+
+
 def merge_candidates(candidates, single_asfu=True):
     """Merge subsumed candidates; returns a list of :class:`MergedISE`.
 
     Candidates are processed largest-first so representatives are the
     maximal patterns.  When ``single_asfu`` is false, condition (2) of
-    the thesis cannot be guaranteed and merging is skipped entirely.
+    the thesis cannot be guaranteed and merging is skipped entirely
+    (see :func:`is_single_asfu`).
     """
     if not single_asfu:
         return [MergedISE(c) for c in candidates]
     ordered = sorted(candidates, key=lambda c: (-c.size, -c.area))
-    merged = []
+    hosts = []          # (MergedISE, representative pattern)
     for candidate in ordered:
         pattern = candidate.pattern()
-        host = _find_host(merged, candidate, pattern)
+        host = _find_host(hosts, candidate, pattern)
         if host is None:
-            merged.append(MergedISE(candidate))
+            hosts.append((MergedISE(candidate), pattern))
         else:
             host.absorbed.append(candidate)
-    return merged
+    return [entry for entry, __ in hosts]
 
 
-def _find_host(merged, candidate, pattern):
-    for entry in merged:
+def _find_host(hosts, candidate, pattern):
+    for entry, rep_pattern in hosts:
         rep = entry.representative
-        rep_pattern = rep.pattern()
         if same_pattern(rep_pattern, pattern):
             return entry
         if not contains_pattern(rep_pattern, pattern):

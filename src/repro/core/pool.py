@@ -267,11 +267,19 @@ def _claim_slot(claim, lock, nworkers, me):
 
 
 def _worker_main(worker_id, nworkers, conn, claim, lock, cache_name,
-                 cache_slots):
-    """Worker loop: wait for a broadcast, drain/steal tasks, repeat."""
+                 cache_slots, parent_ends=()):
+    """Worker loop: wait for a broadcast, drain/steal tasks, repeat.
+
+    ``parent_ends`` are the parent's pipe ends this fork inherited (its
+    own and every earlier worker's).  They are closed first: while any
+    worker holds a parent end open, that pipe never reports EOF, and an
+    orphaned worker would wait on ``conn.recv()`` forever.
+    """
     global _WORKER_SHARED, _WORKER_LOG
     from . import parallel
 
+    for end in parent_ends:
+        end.close()
     parallel._mark_worker()
     shared = None
     try:
@@ -370,7 +378,8 @@ class WorkerPool:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(worker_id, workers, child_conn, self._claim,
-                      self._lock, self.cache.name, self.cache.slots),
+                      self._lock, self.cache.name, self.cache.slots,
+                      self._conns + [parent_conn]),
                 daemon=True)
             proc.start()
             # Close the parent's copy of the child end *before* forking

@@ -90,14 +90,30 @@ def same_pattern(a, b):
     return matcher.is_isomorphic()
 
 
+def match_host(dfg, exclude=frozenset()):
+    """The host side of :func:`find_matches` for one DFG.
+
+    Returns ``(host, uids)``: the opcode-labelled pattern graph of every
+    groupable operation outside ``exclude``, and the sorted uid list its
+    node indices refer to.  The host only depends on the DFG, so callers
+    matching many patterns against one block build it once and pass it
+    to every :func:`find_matches` call.
+    """
+    uids = sorted(uid for uid in dfg.nodes
+                  if dfg.op(uid).groupable and uid not in exclude)
+    return pattern_graph(dfg, uids), uids
+
+
 def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
-                 max_mappings=5000, max_matches=256, obs=None):
+                 max_mappings=5000, max_matches=256, obs=None, host=None):
     """Occurrences of ``pattern`` in ``dfg`` as sets of node uids.
 
     Matches never use nodes in ``exclude`` (already replaced), always
     map onto groupable operations, and — when ``constraints`` is given —
     must be legal candidates (convex, I/O ports, no memory ops).
     Overlapping matches are all returned; the caller prioritises.
+    ``host`` is a prebuilt :func:`match_host` of ``dfg`` (built with the
+    same ``exclude``); without it the host is built here.
 
     Unrolled blocks contain combinatorially many monomorphisms of the
     same node sets, so enumeration is capped by ``max_mappings`` raw
@@ -112,10 +128,7 @@ def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
     from .analysis import is_legal
     from .bitset import bitset_view
 
-    eligible = sorted(uid for uid in dfg.nodes
-                      if dfg.op(uid).groupable and uid not in exclude)
-    host = pattern_graph(dfg, eligible)
-    back = {i: uid for i, uid in enumerate(eligible)}
+    host, uids = host if host is not None else match_host(dfg, exclude)
     matcher = isomorphism.DiGraphMatcher(
         host, pattern,
         node_match=lambda a, b: a["opcode"] == b["opcode"])
@@ -125,7 +138,7 @@ def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
     for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
         if count >= max_mappings or len(matches) >= max_matches:
             break
-        members = frozenset(back[i] for i in mapping)
+        members = frozenset(uids[i] for i in mapping)
         if members in seen:
             continue
         seen.add(members)

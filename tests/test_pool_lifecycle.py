@@ -8,6 +8,9 @@ suite also covers the dispatch hooks the server's instrumentation
 hangs off :func:`repro.core.pool.dispatch`.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -172,3 +175,47 @@ class TestDispatchHooks:
             remove_dispatch_hook(hook)
         assert seen and seen[0]["ok"] is False
         shutdown_pools()
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/{}/stat".format(pid)) as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_dies_without_shutdown(self):
+        """Each worker closes the parent pipe ends it inherited, so a
+        parent that dies without ``shutdown()`` leaves EOF behind and
+        every worker exits instead of waiting forever."""
+        code = ("import os\n"
+                "from repro.core.pool import WorkerPool\n"
+                "pool = WorkerPool(2)\n"
+                "print(*pool.worker_pids(), flush=True)\n"
+                "os._exit(0)\n")
+        child = subprocess.Popen([sys.executable, "-c", code],
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL, text=True)
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        child.stdout.close()
+        child.wait(timeout=30)
+        try:
+            assert len(pids) == 2
+            deadline = time.monotonic() + 5.0
+            while (time.monotonic() < deadline
+                   and any(_running(pid) for pid in pids)):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            for pid in pids:
+                try:
+                    os.kill(pid, 9)
+                except ProcessLookupError:
+                    pass
