@@ -35,7 +35,7 @@ class ISECandidate:
         self.technology = technology
         self.source = source
         self.delay_ns = subgraph_delay_ns(
-            dfg.graph, self.members, self.option_of.__getitem__)
+            dfg, self.members, self.option_of.__getitem__)
         self.area = subgraph_area(self.members, self.option_of.__getitem__)
         self.cycles = technology.cycles_for_delay(self.delay_ns)
         # Benefit metadata filled in by the explorer / selection stage.

@@ -8,9 +8,12 @@ candidate into smaller ones until every piece is convex — and
 ``legalize_components`` additionally trims pieces that overflow the
 I/O-port budget, so exploration always returns constraint-satisfying
 candidates.
-"""
 
-import networkx as nx
+Both walks here (connected components and ancestors) are plain BFS over
+the DFG's cached adjacency tuples.  They visit nodes in the order the
+networkx routines they replace did, so pieces come out in the same
+order and with the same set layout.
+"""
 
 from ..graph.analysis import input_values, io_counts, is_convex, output_values
 from ..graph.subgraph import hardware_components
@@ -39,7 +42,7 @@ def make_convex(dfg, members):
             result.append(frozenset(piece))
             continue
         witness = _find_witness(dfg, piece)
-        ancestors = nx.ancestors(dfg.graph, witness)
+        ancestors = _ancestors(dfg, witness)
         upstream = piece & ancestors
         downstream = piece - upstream
         if not upstream or not downstream:
@@ -54,8 +57,58 @@ def make_convex(dfg, members):
 
 
 def _components(dfg, piece):
-    sub = dfg.graph.subgraph(piece)
-    return [set(c) for c in nx.weakly_connected_components(sub)]
+    """Weakly connected components of the subgraph induced by ``piece``.
+
+    Seeds are taken in the induced view's node order: the member set
+    itself when it is under half the graph, else graph node order.  Each
+    BFS adds successors before predecessors, level by level.
+    """
+    # Built element by element, as networkx's induced view builds its
+    # node filter, so the seed order below matches it exactly.
+    members = set(uid for uid in piece)
+    if 2 * len(members) < len(dfg):
+        seeds = members
+    else:
+        seeds = [uid for uid in dfg.graph if uid in members]
+    components = []
+    seen = set()
+    for source in seeds:
+        if source in seen:
+            continue
+        component = {source}
+        level = [source]
+        while level:
+            below = []
+            for node in level:
+                for nbr in dfg.successors(node):
+                    if nbr in members and nbr not in component:
+                        component.add(nbr)
+                        below.append(nbr)
+                for nbr in dfg.predecessors(node):
+                    if nbr in members and nbr not in component:
+                        component.add(nbr)
+                        below.append(nbr)
+            level = below
+        seen.update(component)
+        components.append(set(component))
+    return components
+
+
+def _ancestors(dfg, source):
+    """All strict ancestors of ``source``, in BFS discovery order."""
+    seen = {source}
+    found = set()
+    level = [source]
+    while level:
+        above = []
+        for node in level:
+            for pred in dfg.predecessors(node):
+                if pred not in seen:
+                    seen.add(pred)
+                    found.add(pred)
+                    above.append(pred)
+        level = above
+    return found
 
 
 def _find_witness(dfg, piece):

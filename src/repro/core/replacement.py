@@ -185,7 +185,7 @@ def _meets_pipestage_limit(dfg, members, option_of, constraints,
     if limit is None or technology is None:
         return True
     from ..hwlib.asfu import subgraph_delay_ns
-    delay = subgraph_delay_ns(dfg.graph, members, option_of.__getitem__)
+    delay = subgraph_delay_ns(dfg, members, option_of.__getitem__)
     return technology.cycles_for_delay(delay) <= limit
 
 

@@ -45,10 +45,16 @@ class DFG:
         # lazily on first legality query, dropped on mutation and
         # excluded from pickles (pool workers rebuild their own).
         self._bitset = None
+        # Scheduling skeleton (repro.sched.units.BlockSkeleton): node
+        # order, edge pairs, software resource needs and the ISE
+        # geometry memo, built lazily on the first contraction, dropped
+        # on mutation and left out of pickles entirely.
+        self._skeleton = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_bitset"] = None
+        del state["_skeleton"]
         return state
 
     def __setstate__(self, state):
@@ -56,6 +62,7 @@ class DFG:
         self.__dict__.update(state)
         self.__dict__.setdefault("_adj", None)
         self.__dict__.setdefault("_bitset", None)
+        self._skeleton = None
 
     def _adjacency(self):
         adj = self._adj
@@ -90,6 +97,7 @@ class DFG:
         self._ext_inputs[operation.uid] = list(ext_inputs)
         self._adj = None
         self._bitset = None
+        self._skeleton = None
         return operation.uid
 
     def add_data_edge(self, src, dst, value):
@@ -103,6 +111,7 @@ class DFG:
             self.graph.add_edge(src, dst, kind="data", values={value})
         self._adj = None
         self._bitset = None
+        self._skeleton = None
 
     def add_order_edge(self, src, dst):
         """Add a memory-ordering edge (no value carried)."""
@@ -110,6 +119,7 @@ class DFG:
             self.graph.add_edge(src, dst, kind="order", values=set())
             self._adj = None
             self._bitset = None
+            self._skeleton = None
 
     def op(self, uid):
         """The :class:`Operation` at node ``uid``."""

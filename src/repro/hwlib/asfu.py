@@ -26,9 +26,11 @@ def subgraph_delay_ns(graph, nodes, option_of):
 
     The delay of a path is the sum of the hardware delays of its
     operations; edges leaving the node set are ignored.  ``nodes`` must
-    be non-empty and induce an acyclic subgraph of ``graph`` — any
-    object exposing ``predecessors``/``successors`` (a DiGraph or a
-    :class:`~repro.graph.dfg.DFG`, whose cached adjacency is cheaper).
+    be non-empty and induce an acyclic subgraph of ``graph``.  Pass the
+    :class:`~repro.graph.dfg.DFG` itself, not ``dfg.graph``: its cached
+    adjacency tuples list neighbours in the same order as the networkx
+    views and are much cheaper to walk.  Any object exposing
+    ``predecessors``/``successors`` works.
     """
     members = set(nodes)
     if not members:

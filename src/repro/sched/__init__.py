@@ -3,7 +3,7 @@
 from .machine import PAPER_CASES, MachineConfig, paper_machines
 from .resources import Needs, ReservationTable
 from .priorities import get_priority, priority_names
-from .units import SchedUnit, contract_dfg, software_needs
+from .units import SchedUnit, UnitGraph, contract_dfg, software_needs
 from .list_scheduler import Schedule, list_schedule
 from .emit import emit_block_listing, emit_bundles
 
@@ -14,6 +14,7 @@ __all__ = [
     "ReservationTable",
     "SchedUnit",
     "Schedule",
+    "UnitGraph",
     "contract_dfg",
     "emit_block_listing",
     "emit_bundles",

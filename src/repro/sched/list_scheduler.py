@@ -6,13 +6,18 @@ block — with its selected ISEs contracted to supernodes — onto the
 multi-issue machine.  This is classic cycle-driven list scheduling:
 at every cycle the highest-priority data-ready units are placed while
 issue slots, register ports and function units remain.
-"""
 
-import networkx as nx
+Units whose predecessors are all placed wait in a *pending* list kept in
+priority order; a cycle walks that list once instead of rescanning and
+re-sorting every unscheduled unit, and units freed by the cycle's
+placements join it after the cycle, exactly when the classic scan would
+first see them.
+"""
 
 from ..errors import SchedulingError
 from .priorities import get_priority
 from .resources import ReservationTable
+from .units import topological_order
 
 
 class Schedule:
@@ -70,8 +75,9 @@ def list_schedule(graph, units, machine, priority="children"):
     Parameters
     ----------
     graph:
-        DiGraph over unit uids (from
-        :func:`~repro.sched.units.contract_dfg`).
+        :class:`~repro.sched.units.UnitGraph` (from
+        :func:`~repro.sched.units.contract_dfg`) or a
+        :class:`networkx.DiGraph` over unit uids.
     units:
         dict uid → :class:`~repro.sched.units.SchedUnit`.
     machine:
@@ -80,40 +86,56 @@ def list_schedule(graph, units, machine, priority="children"):
         Name of the SP function (``"children"`` is the paper default)
         or a precomputed dict uid → priority.
 
-    Returns a verified :class:`Schedule`.
+    Returns a verified :class:`Schedule`.  Ties between equal priorities
+    break on ``str(uid)``.
     """
-    if not nx.is_directed_acyclic_graph(graph):
+    if topological_order(graph) is None:
         raise SchedulingError("unit graph contains a cycle")
     if isinstance(priority, str):
         latency_of = lambda uid: units[uid].latency
         priorities = get_priority(priority)(graph, latency_of)
     else:
         priorities = dict(priority)
-    remaining_preds = {uid: graph.in_degree(uid) for uid in graph.nodes}
-    ready_at = {uid: 0 for uid in graph.nodes}
+    # Rank every unit once by its sort key; the pending list holds the
+    # ranks of pred-free, unplaced units in ascending (priority) order.
+    ranked = sorted(graph.nodes,
+                    key=lambda uid: (-priorities.get(uid, 0), str(uid)))
+    rank_of = {uid: rank for rank, uid in enumerate(ranked)}
+    remaining_preds = {uid: graph.in_degree(uid) for uid in ranked}
+    ready_at = dict.fromkeys(ranked, 0)
+    pending = [rank for rank, uid in enumerate(ranked)
+               if not remaining_preds[uid]]
     start = {}
     table = ReservationTable(machine)
     cycle = 0
-    unscheduled = set(graph.nodes)
+    left = len(ranked)
     total_latency = sum(unit.latency for unit in units.values())
     horizon = total_latency + len(units) + 64
-    while unscheduled:
+    while left:
         if cycle > horizon:
             raise SchedulingError(
                 "list scheduler exceeded horizon — a unit's resource "
                 "demand cannot ever be satisfied")
-        candidates = sorted(
-            (uid for uid in unscheduled
-             if remaining_preds[uid] == 0 and ready_at[uid] <= cycle),
-            key=lambda uid: (-priorities.get(uid, 0), str(uid)))
-        for uid in candidates:
-            if table.fits(cycle, units[uid].needs):
-                table.place(cycle, units[uid].needs)
-                start[uid] = cycle
-                unscheduled.discard(uid)
-                finish = cycle + units[uid].latency
-                for succ in graph.successors(uid):
-                    remaining_preds[succ] -= 1
-                    ready_at[succ] = max(ready_at[succ], finish)
+        waiting = []
+        freed = []
+        for rank in pending:
+            uid = ranked[rank]
+            unit = units[uid]
+            if ready_at[uid] > cycle or not table.try_place(cycle, unit.needs):
+                waiting.append(rank)
+                continue
+            start[uid] = cycle
+            left -= 1
+            finish = cycle + unit.latency
+            for succ in graph.successors(uid):
+                remaining_preds[succ] -= 1
+                if ready_at[succ] < finish:
+                    ready_at[succ] = finish
+                if not remaining_preds[succ]:
+                    freed.append(rank_of[succ])
+        if freed:
+            waiting.extend(freed)
+            waiting.sort()
+        pending = waiting
         cycle += 1
     return Schedule(graph, units, start).verify(machine)

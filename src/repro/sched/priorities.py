@@ -5,12 +5,13 @@ in its future-work section that other priority functions (mobility,
 depth) change which path is identified as critical.  All three are
 provided; :func:`get_priority` resolves a name to a callable with
 signature ``fn(graph, latency_of) -> {node: priority}`` where larger
-values mean *schedule earlier*.
+values mean *schedule earlier*.  ``graph`` is a
+:class:`~repro.sched.units.UnitGraph` or a :class:`networkx.DiGraph`;
+both walk one Kahn order (:func:`~repro.sched.units.topological_order`).
 """
 
-import networkx as nx
-
-from ..errors import ConfigError
+from ..errors import ConfigError, SchedulingError
+from .units import topological_order
 
 
 def children_count(graph, latency_of=None):
@@ -24,7 +25,7 @@ def depth(graph, latency_of=None):
     if latency_of is None:
         latency_of = lambda node: 1
     tail = {}
-    for node in reversed(list(nx.topological_sort(graph))):
+    for node in reversed(_order(graph)):
         best = 0
         for succ in graph.successors(node):
             best = max(best, tail[succ])
@@ -36,20 +37,28 @@ def mobility(graph, latency_of=None):
     """SP = −slack: zero-slack (critical) operations come first."""
     if latency_of is None:
         latency_of = lambda node: 1
+    order = _order(graph)
     asap = {}
-    for node in nx.topological_sort(graph):
+    for node in order:
         earliest = 0
         for pred in graph.predecessors(node):
             earliest = max(earliest, asap[pred] + latency_of(pred))
         asap[node] = earliest
     horizon = max((asap[n] + latency_of(n) for n in graph.nodes), default=0)
     alap = {}
-    for node in reversed(list(nx.topological_sort(graph))):
+    for node in reversed(order):
         latest = horizon - latency_of(node)
         for succ in graph.successors(node):
             latest = min(latest, alap[succ] - latency_of(node))
         alap[node] = latest
     return {node: -(alap[node] - asap[node]) for node in graph.nodes}
+
+
+def _order(graph):
+    order = topological_order(graph)
+    if order is None:
+        raise SchedulingError("unit graph contains a cycle")
+    return order
 
 
 _PRIORITIES = {

@@ -134,11 +134,19 @@ class ReservationTable:
 
     def place(self, cycle, needs):
         """Commit ``needs`` at ``cycle``; raises when it does not fit."""
+        if not self.try_place(cycle, needs):
+            raise SchedulingError(
+                "resources exhausted at cycle {}: {}".format(cycle, needs))
+
+    def try_place(self, cycle, needs):
+        """Commit ``needs`` at ``cycle`` if it fits; True when placed.
+
+        The list scheduler's probe-and-commit in one step.
+        """
         if cycle < 0:
             raise SchedulingError("cannot place at negative cycle")
         if not self.fits(cycle, needs):
-            raise SchedulingError(
-                "resources exhausted at cycle {}: {}".format(cycle, needs))
+            return False
         if cycle >= self._size:
             self._grow(cycle + 1)
         if cycle >= self._hi:
@@ -150,6 +158,7 @@ class ReservationTable:
         row = self._fu_row.get(needs.fu_kind)
         if row is not None:
             views[row][cycle] += needs.fu_count
+        return True
 
     def release(self, cycle, needs):
         """Undo a previous :meth:`place` (cluster-revision support)."""

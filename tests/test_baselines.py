@@ -8,7 +8,7 @@ from repro.baselines import (
     SingleIssueExplorer,
 )
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.errors import ExplorationError
 from repro.graph import check_candidate
 from repro.sched import MachineConfig
@@ -112,7 +112,7 @@ class TestExact:
         dfg = diamond_dfg()
         machine = MachineConfig(2, "4/2")
         exact = ExactExplorer(machine).explore(dfg)
-        aco = MultiIssueExplorer(
+        aco = AcoEngine(
             machine, params=ExplorationParams(
                 max_iterations=150, restarts=3, max_rounds=4),
             seed=4).explore(dfg)

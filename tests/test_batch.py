@@ -22,11 +22,11 @@ from repro.core.batch import (
     effective_batch,
     resolve_batch,
 )
-from repro.core.exploration import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow
 from repro.core.merit import update_merits
 from repro.core.state import ExplorationState
 from repro.core.trail import update_trails
+from repro.engines.aco import AcoEngine
 from repro.errors import ConfigError, SchedulingError
 from repro.hwlib import DEFAULT_DATABASE, default_io_table
 from repro.ir.passes.pipeline import optimize
@@ -124,8 +124,8 @@ class TestWidthOneParity:
         tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
                   for uid in dfg.nodes}
         params = ExplorationParams()
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=0, batch=1)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=0, batch=1)
         state_a = ExplorationState(dfg, tables, params,
                                    priority=explorer.priority)
         state_b = ExplorationState(dfg, tables, params,
@@ -154,8 +154,8 @@ class TestWidthOneParity:
         dfgs = _hot_dfgs("crc32")
         params = ExplorationParams(max_iterations=40, restarts=2,
                                    max_rounds=3)
-        scalar = MultiIssueExplorer(MachineConfig(2, "4/2"), params=params,
-                                    seed=11, batch=1)
+        scalar = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                           seed=11, batch=1)
         digest = _result_digest(scalar.explore_many(dfgs, jobs=1))
         assert digest == _FIXED_SEED_DIGESTS["scalar"]
 
@@ -178,8 +178,8 @@ class TestBatchedGoldenRegression:
         dfgs = _hot_dfgs("crc32")
         params = ExplorationParams(max_iterations=40, restarts=2,
                                    max_rounds=3)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=11, batch=batch)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=11, batch=batch)
         digest = _result_digest(explorer.explore_many(dfgs, jobs=1))
         assert digest == _FIXED_SEED_DIGESTS[batch]
 
@@ -189,9 +189,9 @@ class TestBatchedGoldenRegression:
                                    max_rounds=3)
 
         def digest_at(jobs):
-            explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                          params=params, seed=11,
-                                          batch=DEFAULT_BATCH)
+            explorer = AcoEngine(MachineConfig(2, "4/2"),
+                                 params=params, seed=11,
+                                 batch=DEFAULT_BATCH)
             return _result_digest(explorer.explore_many(dfgs, jobs=jobs))
 
         assert digest_at(1) == digest_at(2)
@@ -223,8 +223,8 @@ class TestReadyListStaysSorted:
         dfg = diamond_dfg()
         params = ExplorationParams(max_iterations=20, restarts=1,
                                    max_rounds=2)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=2, batch=1)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=2, batch=1)
         explorer.explore(dfg, jobs=1)
         assert checked["count"] > 0
 
@@ -275,9 +275,9 @@ class TestBatchCounters:
         params = ExplorationParams(max_iterations=20, restarts=1,
                                    max_rounds=2)
         obs = Observer()
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=1,
-                                      batch=DEFAULT_BATCH, obs=obs)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=1,
+                             batch=DEFAULT_BATCH, obs=obs)
         explorer.explore_many(dfgs, jobs=1)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["batch.ants_batched"] > 0
@@ -291,9 +291,9 @@ class TestBatchCounters:
         params = ExplorationParams(max_iterations=10, restarts=1,
                                    max_rounds=1)
         obs = Observer()
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=1, batch=1,
-                                      obs=obs)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=1, batch=1,
+                             obs=obs)
         explorer.explore_many(dfgs, jobs=1)
         counters = obs.metrics.snapshot()["counters"]
         assert "batch.ants_batched" not in counters
@@ -320,9 +320,9 @@ class TestTemplateOpenNoRewalk:
 
     def _runner(self, dfg):
         params = ExplorationParams()
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=0,
-                                      batch=DEFAULT_BATCH)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=0,
+                             batch=DEFAULT_BATCH)
         tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
                   for uid in dfg.nodes}
         state = ExplorationState(dfg, tables, params,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.errors import ConfigError
 from repro.graph import check_candidate
 from repro.sched import MachineConfig
@@ -16,7 +16,7 @@ def make_explorer(machine=None, seed=1, **param_overrides):
     defaults = dict(max_iterations=60, restarts=1, max_rounds=4)
     defaults.update(param_overrides)
     params = ExplorationParams(**defaults)
-    return MultiIssueExplorer(machine, params=params, seed=seed)
+    return AcoEngine(machine, params=params, seed=seed)
 
 
 class TestExploration:
@@ -73,7 +73,7 @@ class TestExploration:
 
     def test_constraints_clamped_to_machine_ports(self):
         machine = MachineConfig(2, "4/2")
-        explorer = MultiIssueExplorer(
+        explorer = AcoEngine(
             machine, constraints=ISEConstraints(n_in=16, n_out=8))
         assert explorer.constraints.n_in == 4
         assert explorer.constraints.n_out == 2
@@ -98,15 +98,15 @@ class TestExploration:
             machine = MachineConfig(2, "4/2")
             params = ExplorationParams(max_iterations=40, restarts=1,
                                        max_rounds=2)
-            explorer = MultiIssueExplorer(machine, params=params,
-                                          priority=priority, seed=2)
+            explorer = AcoEngine(machine, params=params,
+                                 priority=priority, seed=2)
             result = explorer.explore(dfg)
             assert result.final_cycles <= result.base_cycles
 
     def test_bad_priority_rejected(self):
         dfg = diamond_dfg()
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      priority="bogus")
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             priority="bogus")
         with pytest.raises(ConfigError):
             explorer.explore(dfg)
 

@@ -226,11 +226,8 @@ class TestProtocolConformance:
 class TestDeprecationShim:
     def test_multi_issue_explorer_warns_and_is_aco(self):
         from repro.core.exploration import MultiIssueExplorer
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(DeprecationWarning, match="AcoEngine"):
             shim = MultiIssueExplorer(MACHINE, params=FAST, seed=3)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
         assert isinstance(shim, AcoEngine)
         assert shim.name == "aco"
 

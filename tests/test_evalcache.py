@@ -5,7 +5,7 @@ import pickle
 from repro.core import evalcache
 from repro.core.evalcache import EvalCache, candidate_fingerprint, \
     dfg_fingerprint, evalcache_enabled
-from repro.core.exploration import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.hwlib.options import HardwareOption
 from repro.sched import MachineConfig
 
@@ -107,6 +107,6 @@ class TestEnableSwitch:
     def test_explorer_honours_switch(self, monkeypatch):
         machine = MachineConfig(2, "4/2")
         monkeypatch.setenv(evalcache.EVALCACHE_ENV, "0")
-        assert MultiIssueExplorer(machine)._evalcache is None
+        assert AcoEngine(machine)._evalcache is None
         monkeypatch.delenv(evalcache.EVALCACHE_ENV)
-        assert isinstance(MultiIssueExplorer(machine)._evalcache, EvalCache)
+        assert isinstance(AcoEngine(machine)._evalcache, EvalCache)

@@ -12,10 +12,10 @@ import pytest
 
 from repro.config import ExplorationParams
 from repro.core import parallel
-from repro.core.exploration import MultiIssueExplorer, _roulette
 from repro.core.flow import ISEDesignFlow
 from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.state import ExplorationState
+from repro.engines.aco import AcoEngine, _roulette
 from repro.errors import ConfigError, ReproError
 from repro.eval.persistence import ExplorationCache
 from repro.eval.runner import EvalContext
@@ -59,8 +59,8 @@ class TestParallelParity:
         dfgs = _hot_dfgs("crc32")
         params = ExplorationParams(max_iterations=40, restarts=2,
                                    max_rounds=3)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=11)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=11)
         for dfg in dfgs:
             serial = explorer.explore(dfg, jobs=1)
             pooled = explorer.explore(dfg, jobs=2)
@@ -70,8 +70,8 @@ class TestParallelParity:
         dfgs = _hot_dfgs("bitcount")
         params = ExplorationParams(max_iterations=30, restarts=2,
                                    max_rounds=3)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=5)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=5)
         serial = [explorer.explore(dfg, jobs=1) for dfg in dfgs]
         pooled = explorer.explore_many(dfgs, jobs=2)
         assert ([_result_signature(r) for r in serial]

@@ -4,8 +4,7 @@ export quoting, parser operand forms."""
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
-from repro.core.exploration import _roulette
+from repro.engines.aco import AcoEngine, _roulette
 from repro.hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY
 from repro.sched import MachineConfig
 
@@ -32,7 +31,7 @@ class TestRoulette:
 
 class TestExplorerInternals:
     def _explorer(self):
-        return MultiIssueExplorer(
+        return AcoEngine(
             MachineConfig(2, "4/2"),
             params=ExplorationParams(max_iterations=40, restarts=1,
                                      max_rounds=2),

@@ -157,7 +157,7 @@ class TestRoundTrip:
     def test_parsed_function_explorable(self):
         """Parsed kernels flow through DFG lowering + exploration."""
         from repro.config import ExplorationParams
-        from repro.core import MultiIssueExplorer
+        from repro.engines.aco import AcoEngine
         from repro.graph import build_dfg
         from repro.ir.analysis import liveness
         from repro.sched import MachineConfig
@@ -174,7 +174,7 @@ entry:
         __, live_out = liveness(func)
         dfg = build_dfg(func.block("entry"), live_out["entry"],
                         function="k")
-        explorer = MultiIssueExplorer(
+        explorer = AcoEngine(
             MachineConfig(2, "4/2"),
             params=ExplorationParams(max_iterations=40, restarts=1,
                                      max_rounds=2), seed=1)

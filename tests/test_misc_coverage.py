@@ -4,8 +4,8 @@ introspection, flow lowering internals, exploration traces, reporting."""
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow, _lower_segments
+from repro.engines.aco import AcoEngine
 from repro.errors import TrapError
 from repro.eval import render_per_workload
 from repro.ir import DataSegment, FunctionBuilder
@@ -137,8 +137,8 @@ class TestExplorationTraces:
         dfg = chain_dfg(5)
         params = ExplorationParams(max_iterations=30, restarts=1,
                                    max_rounds=2)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=1)
+        explorer = AcoEngine(MachineConfig(2, "4/2"),
+                             params=params, seed=1)
         result = explorer.explore(dfg)
         assert result.traces
         assert len(result.traces) == result.rounds

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
 from repro.core.candidate import ISECandidate
 from repro.core.flow import ISEDesignFlow
+from repro.engines.aco import AcoEngine
 from repro.errors import ConfigError, ConstraintError
 from repro.hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY
 from repro.sched import MachineConfig
@@ -43,7 +43,7 @@ class TestConstraint:
         dfg = chain_dfg(8)
         params = ExplorationParams(**TINY)
         machine = MachineConfig(2, "4/2")
-        constrained = MultiIssueExplorer(
+        constrained = AcoEngine(
             machine, params=params, seed=2,
             constraints=ISEConstraints(max_ise_cycles=1))
         result = constrained.explore(dfg)
@@ -53,8 +53,8 @@ class TestConstraint:
         dfg = chain_dfg(10)
         params = ExplorationParams(**TINY)
         machine = MachineConfig(2, "4/2")
-        free = MultiIssueExplorer(machine, params=params, seed=2).explore(dfg)
-        tight = MultiIssueExplorer(
+        free = AcoEngine(machine, params=params, seed=2).explore(dfg)
+        tight = AcoEngine(
             machine, params=params, seed=2,
             constraints=ISEConstraints(max_ise_cycles=1)).explore(dfg)
         assert tight.final_cycles >= free.final_cycles

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core import MultiIssueExplorer
 from repro.core.make_convex import legalize_components, make_convex
+from repro.engines.aco import AcoEngine
 from repro.graph import (
     alap_schedule,
     asap_schedule,
@@ -244,7 +244,7 @@ class TestExplorationProperties:
         machine = MachineConfig(2, "4/2")
         params = ExplorationParams(max_iterations=30, restarts=1,
                                    max_rounds=2)
-        explorer = MultiIssueExplorer(machine, params=params, seed=seed)
+        explorer = AcoEngine(machine, params=params, seed=seed)
         result = explorer.explore(dfg)
         assert result.final_cycles <= result.base_cycles
         for candidate in result.candidates:

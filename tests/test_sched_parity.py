@@ -1,0 +1,254 @@
+"""Parity of the skeleton-based scheduling core with the networkx oracle.
+
+``sched_oracle`` keeps the contraction, list scheduler and Make-Convex
+the project used before blocks were compiled once into a
+:class:`~repro.sched.units.BlockSkeleton`.  These tests hold the
+production code to it on seeded random DFGs: same units, same unit
+edges, same start cycles under every SP function and issue width, same
+Make-Convex pieces in the same order, and the same errors.
+"""
+
+import pickle
+import random
+
+import networkx as nx
+import pytest
+
+import sched_oracle as oracle
+from repro.config import ISEConstraints
+from repro.core.make_convex import legalize_components, make_convex
+from repro.errors import SchedulingError
+from repro.graph.fuzz import random_dfg
+from repro.hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY, HardwareOption
+from repro.hwlib.technology import Technology
+from repro.sched import MachineConfig, SchedUnit, contract_dfg, list_schedule
+from repro.sched import units as units_module
+from repro.sched.priorities import get_priority, priority_names
+from repro.sched.resources import Needs
+from repro.sched.units import UnitGraph, block_skeleton
+
+from conftest import chain_dfg, diamond_dfg
+
+MACHINES = (MachineConfig(1, "4/2"), MachineConfig(2, "4/2"),
+            MachineConfig(4, "8/4"))
+
+
+def _random_groups(dfg, rng):
+    """Disjoint, convex, port-legal groups whose joint contraction is a
+    DAG, each with randomly drawn hardware options."""
+    nodes = dfg.groupable_nodes()
+    if not nodes:
+        return []
+    members = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+    constraints = ISEConstraints(n_in=rng.choice((2, 3, 4)),
+                                 n_out=rng.choice((1, 2)))
+    groups = []
+    for piece in legalize_components(dfg, members, constraints):
+        option_of = {uid: rng.choice(
+            DEFAULT_DATABASE.hardware_options(dfg.op(uid).name))
+            for uid in piece}
+        groups.append((piece, option_of))
+    while groups:
+        try:
+            oracle.contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+            break
+        except SchedulingError:
+            groups.pop()
+    return groups
+
+
+def _cases(count):
+    rng = random.Random(2008)
+    for seed in range(count):
+        dfg = random_dfg(seed, n_nodes=rng.choice((6, 16, 32, 48)))
+        for __ in range(2):
+            yield dfg, _random_groups(dfg, rng)
+
+
+def _unit_view(units):
+    return [(uid, u.latency, u.area, u.is_ise, sorted(u.members),
+             u.needs.issue, u.needs.reads, u.needs.writes, u.needs.fu_kind)
+            for uid, u in units.items()]
+
+
+class TestContractionParity:
+    def test_units_and_edges_match_oracle(self):
+        for dfg, groups in _cases(40):
+            graph, units = contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+            ref_graph, ref_units = oracle.contract_dfg(
+                dfg, groups, DEFAULT_TECHNOLOGY)
+            assert isinstance(graph, UnitGraph)
+            assert _unit_view(units) == _unit_view(ref_units)
+            assert list(graph.nodes) == list(ref_graph.nodes)
+            assert list(graph.edges) == list(ref_graph.edges)
+            for uid in units:
+                assert (tuple(graph.predecessors(uid))
+                        == tuple(ref_graph.predecessors(uid)))
+                assert graph.in_degree(uid) == ref_graph.in_degree(uid)
+                assert graph.out_degree(uid) == ref_graph.out_degree(uid)
+
+    def test_start_cycles_match_oracle(self):
+        checked = 0
+        for dfg, groups in _cases(40):
+            graph, units = contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+            ref_graph, ref_units = oracle.contract_dfg(
+                dfg, groups, DEFAULT_TECHNOLOGY)
+            for machine in MACHINES:
+                for priority in priority_names():
+                    start = list_schedule(graph, units, machine,
+                                          priority=priority).start
+                    assert start == oracle.list_schedule(
+                        ref_graph, ref_units, machine, priority=priority)
+                    checked += 1
+        assert checked == 40 * 2 * len(MACHINES) * 3
+
+    def test_software_latencies_match_oracle(self):
+        rng = random.Random(7)
+        for dfg, groups in _cases(10):
+            cycles = {uid: rng.randint(1, 3) for uid in dfg.nodes}
+            graph, units = contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY,
+                                        software_cycles=cycles)
+            ref_graph, ref_units = oracle.contract_dfg(
+                dfg, groups, DEFAULT_TECHNOLOGY, software_cycles=cycles)
+            machine = MACHINES[1]
+            assert list_schedule(graph, units, machine).start == \
+                oracle.list_schedule(ref_graph, ref_units, machine)
+
+    def test_networkx_input_still_scheduled(self):
+        dfg = random_dfg(3, n_nodes=24)
+        __, units = contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        ref_graph, __ = oracle.contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        for priority in priority_names():
+            assert list_schedule(ref_graph, units, MACHINES[1],
+                                 priority=priority).start == \
+                oracle.list_schedule(ref_graph, units, MACHINES[1],
+                                     priority=priority)
+
+    def test_priorities_agree_across_graph_types(self):
+        dfg = random_dfg(11, n_nodes=32)
+        graph, units = contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        ref_graph, __ = oracle.contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        latency_of = lambda uid: units[uid].latency
+        for name in priority_names():
+            assert get_priority(name)(graph, latency_of) == \
+                get_priority(name)(ref_graph, latency_of)
+
+
+class TestMakeConvexParity:
+    def test_pieces_and_their_order_match_oracle(self):
+        # In 200-node blocks a set's iteration order depends on its
+        # insertion order, so only the oracle's exact visiting order
+        # (successors before predecessors) passes.
+        rng = random.Random(5)
+        for seed in range(30):
+            dfg = random_dfg(seed, n_nodes=rng.choice((16, 200)))
+            nodes = list(dfg.nodes)
+            for __ in range(3):
+                members = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+                pieces = make_convex(dfg, members)
+                expected = oracle.make_convex(dfg, members)
+                # Same pieces, same order, same element iteration order.
+                assert [tuple(p) for p in pieces] == \
+                    [tuple(p) for p in expected]
+
+
+class TestErrorsUnchanged:
+    def _fast(self):
+        return HardwareOption("HW", delay_ns=2.0, area=100.0)
+
+    def _both(self, call):
+        """Error type and message from production and from the oracle."""
+        raised = []
+        for module in (units_module, oracle):
+            with pytest.raises(SchedulingError) as info:
+                call(module)
+            raised.append(str(info.value))
+        return raised
+
+    def test_overlapping_groups(self):
+        dfg = chain_dfg(4)
+        option_of = {uid: self._fast() for uid in (1, 2, 3)}
+        groups = [({1, 2}, option_of), ({2, 3}, option_of)]
+        new, ref = self._both(lambda m: m.contract_dfg(
+            dfg, groups, DEFAULT_TECHNOLOGY))
+        assert new == ref == "ISE groups overlap on nodes [2]"
+
+    def test_non_convex_group(self):
+        dfg = chain_dfg(3)
+        option_of = {0: self._fast(), 2: self._fast()}
+        new, ref = self._both(lambda m: m.contract_dfg(
+            dfg, [({0, 2}, option_of)], DEFAULT_TECHNOLOGY))
+        assert new == ref == ("contraction produced a cycle "
+                              "(non-convex ISE group)")
+
+    def test_cyclic_networkx_graph(self):
+        graph = nx.DiGraph([("a", "b"), ("b", "a")])
+        units = {u: SchedUnit(u, 1, Needs(reads=1), (u,)) for u in "ab"}
+        with pytest.raises(SchedulingError) as new:
+            list_schedule(graph, units, MACHINES[1])
+        with pytest.raises(SchedulingError) as ref:
+            oracle.list_schedule(graph, units, MACHINES[1])
+        assert str(new.value) == str(ref.value) == \
+            "unit graph contains a cycle"
+
+    def test_verify_rechecks_dependences(self):
+        dfg = chain_dfg(3)
+        graph, units = contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        schedule = list_schedule(graph, units, MACHINES[1])
+        schedule.start[2] = schedule.start[1]
+        with pytest.raises(SchedulingError, match="dependence 1 -> 2"):
+            schedule.verify(MACHINES[1])
+
+
+class TestSkeleton:
+    def test_scoring_leaves_pickles_unchanged(self):
+        dfg = random_dfg(4, n_nodes=32)
+        dfg.nodes  # build the adjacency cache, which pickles
+        before = pickle.dumps(dfg)
+        rng = random.Random(1)
+        for __ in range(5):
+            graph, units = contract_dfg(dfg, _random_groups(dfg, rng),
+                                        DEFAULT_TECHNOLOGY)
+            list_schedule(graph, units, MACHINES[1])
+        assert dfg._skeleton is not None
+        assert pickle.dumps(dfg) == before
+        assert pickle.loads(before)._skeleton is None
+
+    def test_memo_never_answers_across_technologies(self):
+        dfg = chain_dfg(4)
+        slow = HardwareOption("HW", delay_ns=8.0, area=10.0)
+        groups = [({1, 2}, {1: slow, 2: slow})]
+        fast_clock = Technology(clock_mhz=100.0)    # 16 ns -> 2 cycles
+        slow_clock = Technology(clock_mhz=50.0)     # 16 ns -> 1 cycle
+        for technology, cycles in ((fast_clock, 2), (slow_clock, 1),
+                                   (fast_clock, 2)):
+            __, units = contract_dfg(dfg, groups, technology)
+            __, ref_units = oracle.contract_dfg(dfg, groups, technology)
+            assert units["ise0"].latency == ref_units["ise0"].latency \
+                == cycles
+        assert len(block_skeleton(dfg).ise_geometry) == 2
+
+    def test_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr(units_module, "ISE_MEMO_CAP", 3)
+        dfg = chain_dfg(6)
+        option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+        for first in range(5):
+            group = {first, first + 1}
+            contract_dfg(dfg, [(group, dict.fromkeys(group, option))],
+                         DEFAULT_TECHNOLOGY)
+            assert len(block_skeleton(dfg).ise_geometry) <= 3
+
+    def test_mutation_and_output_edits_refresh_the_skeleton(self):
+        dfg = diamond_dfg()
+        option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+        group = {0, 1}
+        groups = [(group, dict.fromkeys(group, option))]
+        skeleton = block_skeleton(dfg)
+        contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+        dfg.output_nodes.add(0)
+        __, units = contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+        __, ref_units = oracle.contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+        assert block_skeleton(dfg) is not skeleton
+        assert _unit_view(units) == _unit_view(ref_units)
+        dfg.add_order_edge(0, max(dfg.nodes))
+        assert dfg._skeleton is None
