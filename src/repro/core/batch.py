@@ -1,33 +1,34 @@
-"""Lockstep batched ant construction (vectorised Ready-Matrix draws).
+"""Lockstep batched ant construction (the Ready-Matrix draw loop).
 
-The scalar iteration loop draws one (operation, option) pair at a time
-through Python: per-draw tuple lists from
-:meth:`~repro.core.state.ExplorationState.cp_weights`, a scalar
-roulette, and dict-based readiness bookkeeping.  Trails and merits only
-change *between* iterations, so within one iteration — and therefore
-within any group of iterations run against the same state — the Eq. 1
-weight vector is a constant.  :class:`BatchedAntRunner` exploits that:
-``B`` ants advance **in lockstep**, one matrix step per draw index,
+Trails and merits only change *between* iterations, so within one
+iteration — and therefore within any group of iterations run against
+the same state — the Eq. 1 weight of every (operation, option) slot is
+a constant.  :class:`BatchedAntRunner` exploits that: ``B`` ants
+advance **in lockstep**, one draw each per step, against one weight
+list fetched per batch
+(:meth:`~repro.core.state.ExplorationState.cp_weights_batch`).  Each
+ant keeps plain per-block tables:
 
-* readiness as a ``(B, n_nodes)`` remaining-predecessor matrix folded
-  with a dense successor matrix (one subtraction per step for the whole
-  batch),
-* Eq. 1 weights from a single
-  :meth:`~repro.core.state.ExplorationState.cp_weights_batch` call on
-  the flat trail/merit vectors, masked per ant by the ready slots,
-* the roulette as row-wise cumulative sums, one ``rng.random()`` per
-  ant per step (ant-index order — at ``B == 1`` this is exactly the
-  scalar draw stream) and a vectorised first-``cum >= pick`` search,
-* reservation-table first-fit placement probes batched across the ants
-  of a step (:func:`~repro.sched.resources.first_fit_batch`) for
-  software options and fresh ISE cluster opens.
+* its ready slots as a sorted list with a parallel weight list, and a
+  list of remaining-predecessor counts that moves slots in and out of
+  it as operations are placed;
+* the roulette as one ``rng.random()`` per ant per step (ant-index
+  order — at ``B == 1`` this is exactly the scalar draw stream), a
+  running sum of the ready weights and a ``bisect_left`` for the first
+  sum reaching the scaled draw.  Unready slots weigh nothing, and
+  adding zeros leaves a float sum unchanged, so the pick is the one a
+  sum over every slot would make, bit for bit;
+* the drawn placement applied at once: software options and fresh ISE
+  cluster opens take a first-fit probe on the ant's own reservation
+  table (opens clone a per-operation I/O tracker template instead of
+  re-walking the operation's edges), and a hardware option whose
+  operation has a parent already in one of that ant's clusters takes
+  the join path, which tries those clusters first
+  (:meth:`~repro.core.iteration.IterationSchedule.join_parent`).
 
-Only placements whose packing decisions genuinely interact — a
-hardware option whose operation has a parent already sitting in one of
-that ant's clusters, i.e. a potential cluster *join* with geometry
-revision — drop to the existing scalar path
-(:meth:`~repro.core.iteration.IterationSchedule.schedule_hardware`).
-The ``stat_*`` tallies feed the ``batch.*`` observability counters.
+The ``stat_*`` tallies feed the ``batch.*`` observability counters:
+``stat_rows_vectorized`` counts lockstep draws and
+``stat_scalar_fallbacks`` counts join-path placements.
 
 ``resolve_batch`` mirrors :func:`~repro.core.parallel.resolve_jobs`:
 an explicit ``batch=`` argument wins, then ``REPRO_ANT_BATCH``, then
@@ -36,14 +37,14 @@ the explorer then runs the scalar round loop, bit-identical to the
 pre-batching engine.
 """
 
+import numbers
 import os
-
-import numpy as np
+from bisect import bisect_left
+from itertools import accumulate
 
 from ..errors import ConfigError, ExplorationError
 from ..graph.analysis import SubgraphIOTracker
-from ..sched.resources import Needs, first_fit_batch
-from .iteration import IterationSchedule
+from .iteration import IterationSchedule, asfu_needs
 
 #: Environment variable supplying the default ant batch size.
 BATCH_ENV = "REPRO_ANT_BATCH"
@@ -60,8 +61,10 @@ def resolve_batch(batch=None, obs=None):
     ``None`` falls back to ``REPRO_ANT_BATCH`` (default
     :data:`DEFAULT_BATCH`); ``0`` or ``"auto"`` selects the default
     explicitly.  ``1`` selects the scalar path — the bit-exact parity
-    escape hatch.  When an enabled ``obs`` observer is passed, the
-    effective size is recorded as the ``batch.effective`` gauge.
+    escape hatch.  Booleans and non-integer numbers raise the same
+    :class:`~repro.errors.ConfigError` as an unparsable string.  When
+    an enabled ``obs`` observer is passed, the effective size is
+    recorded as the ``batch.effective`` gauge.
     """
     if batch is None:
         batch = os.environ.get(BATCH_ENV, "").strip() or DEFAULT_BATCH
@@ -75,6 +78,10 @@ def resolve_batch(batch=None, obs=None):
                 raise ConfigError(
                     "batch must be an integer or 'auto', got {!r}".format(
                         batch)) from None
+    elif isinstance(batch, bool) or not isinstance(batch, numbers.Integral):
+        raise ConfigError(
+            "batch must be an integer or 'auto', got {!r}".format(batch))
+    batch = int(batch)
     if batch == 0:
         batch = DEFAULT_BATCH
     if batch < 1:
@@ -90,13 +97,13 @@ def effective_batch(batch, n_nodes):
 
     Ants inside one lockstep batch all draw against the same frozen
     trail/merit state — the batch trades per-ant feedback for
-    throughput.  On tiny DFGs that trade is all cost and no gain: the
-    matrix step is O(B * n) work that scalar Python already does
-    quickly, while the colony's convergence leans hard on seeing every
-    ant's update.  Capping the width at half the node count keeps small
-    rounds at (or near) the scalar loop's learning density and leaves
-    the large, expensive rounds — where the vectorisation actually
-    pays — at the full requested width.
+    throughput.  On tiny DFGs that trade is all cost and no gain: a
+    batch saves little set-up there, while the colony's convergence
+    leans hard on seeing every ant's update.  Capping the width at half
+    the node count keeps small rounds at (or near) the scalar loop's
+    learning density and leaves the large, expensive rounds — where
+    one weight fetch per batch actually pays — at the full requested
+    width.
     """
     return min(batch, max(1, n_nodes // 2))
 
@@ -106,11 +113,12 @@ class BatchedAntRunner:
 
     One runner lives for one exploration round: the DFG topology, the
     flat slot layout of the round's
-    :class:`~repro.core.state.ExplorationState` and the dense successor
-    matrix are precomputed once; :meth:`run` then performs ``n_nodes``
-    matrix steps per batch.  Construction is exact — at any batch size
-    each ant's schedule is the one the scalar loop would have built
-    from the same per-ant draw stream.
+    :class:`~repro.core.state.ExplorationState`, the software demand of
+    every slot and the cluster-open templates are precomputed once;
+    :meth:`run` then performs ``n_nodes`` lockstep steps per batch.
+    Construction is exact — at any batch size each ant's schedule is
+    the one the scalar loop would have built from the same per-ant draw
+    stream.
     """
 
     def __init__(self, dfg, state, machine, technology, constraints):
@@ -122,31 +130,24 @@ class BatchedAntRunner:
         uids = list(dfg.nodes)
         self._uids = uids
         index = {uid: i for i, uid in enumerate(uids)}
-        n = len(uids)
-        # Dense successor matrix: row u holds 1 for every successor of
-        # u (adjacency is deduplicated, so counts match the scalar
-        # remaining-predecessor bookkeeping).  Basic-block DFGs are
-        # small, so n^2 int8 stays in cache.  The diagonal is -1: the
-        # step loop subtracts the chosen node's row from the remaining
-        # counts, which then *raises* the chosen node's own count to 1 —
-        # a node is ready iff its count is exactly 0, so placed nodes
-        # drop out without a separate done matrix.  (A ready node has
-        # all predecessors placed, so its count never decreases again.)
-        succ = np.zeros((n, n), dtype=np.int8)
-        preds = np.zeros(n, dtype=np.int32)
-        for src, dst in dfg.edge_pairs():
-            succ[index[src], index[dst]] = 1
-            preds[index[dst]] += 1
-        np.fill_diagonal(succ, -1)
-        self._succ_matrix = succ
-        self._base_preds = preds
+        # Node tables by index: successor indices (adjacency is
+        # deduplicated, so they match the predecessor counts) and the
+        # remaining-predecessor count every ant starts from.
+        self._succ_index = [tuple(index[succ] for succ in dfg.successors(uid))
+                            for uid in uids]
+        self._base_preds = [len(dfg.predecessors(uid)) for uid in uids]
         # Flat slot layout shared with the state's trail/merit vectors:
-        # slot -> (uid, option), slot -> node index for ready gathering.
+        # an operation's options are consecutive slots, operations in
+        # ``dfg.nodes`` order, so ready lists stay sorted by slot.
         pairs = state.slot_pairs()
         self._slot_pairs = pairs
-        self._slot_node = np.fromiter(
-            (index[uid] for uid, __ in pairs), dtype=np.intp,
-            count=len(pairs))
+        self._slot_node = [index[uid] for uid, __ in pairs]
+        first = [len(pairs)] * len(uids)
+        stop = [0] * len(uids)
+        for slot, node in enumerate(self._slot_node):
+            first[node] = min(first[node], slot)
+            stop[node] = slot + 1
+        self._node_span = list(zip(first, stop))
         self._preds_of = {uid: tuple(dfg.predecessors(uid))
                           for uid in uids}
         # Per-slot placement precomputation: the resource demand of a
@@ -165,9 +166,9 @@ class BatchedAntRunner:
         for uid in uids:
             io = SubgraphIOTracker(dfg)
             io.add(uid)
-            self._open_template[uid] = (
-                io, Needs(reads=io.n_in, writes=io.n_out, fu_kind="asfu"))
-        #: Always-on tallies feeding the ``batch.*`` obs counters.
+            self._open_template[uid] = (io, asfu_needs(io.n_in, io.n_out))
+        #: Always-on tallies feeding the ``batch.*`` obs counters:
+        #: ants built, join-path placements and lockstep draws.
         self.stat_ants_batched = 0
         self.stat_scalar_fallbacks = 0
         self.stat_rows_vectorized = 0
@@ -187,138 +188,75 @@ class BatchedAntRunner:
                      for __ in range(n_ants)]
         if not n_nodes:
             return schedules
-        n_slots = len(self._slot_pairs)
-        weights = self.state.cp_weights_batch()
-        remaining = np.tile(self._base_preds, (n_ants, 1))
-        rows = np.arange(n_ants)
-        draws = np.empty(n_ants, dtype=np.float64)
-        picks = np.empty(n_ants, dtype=np.float64)
-        chosen = np.empty(n_ants, dtype=np.intp)
-        # Step-loop work buffers, reused across all n_nodes steps so the
-        # hot loop allocates nothing per step.  Placed nodes carry a
-        # remaining count of 1 (see the successor-matrix diagonal), so
-        # readiness is the single comparison against zero.
-        ready = np.empty((n_ants, n_nodes), dtype=bool)
-        slot_ready = np.empty((n_ants, n_slots), dtype=bool)
-        masked = np.empty((n_ants, n_slots), dtype=np.float64)
-        cum = np.empty((n_ants, n_slots), dtype=np.float64)
-        below = np.empty((n_ants, n_slots), dtype=bool)
-        succ_rows = np.empty((n_ants, n_nodes), dtype=np.int8)
+        weights = self.state.cp_weights_batch().tolist()
+        node_span = self._node_span
+        ready = [slot for node, count in enumerate(self._base_preds)
+                 if not count for slot in range(*node_span[node])]
+        ants = [(schedule, list(ready), [weights[slot] for slot in ready],
+                 list(self._base_preds))
+                for schedule in schedules]
+        slot_node = self._slot_node
+        succ_index = self._succ_index
+        place = self._place
+        draw = rng.random
         self.stat_ants_batched += n_ants
         for __ in range(n_nodes):
-            np.equal(remaining, 0, out=ready)
-            np.take(ready, self._slot_node, axis=1, out=slot_ready)
-            for ant in range(n_ants):
-                draws[ant] = rng.random()
-            slots = _roulette_rows(weights, slot_ready, draws,
-                                   masked=masked, cum=cum, below=below,
-                                   rows=rows, picks=picks)
-            self.stat_rows_vectorized += n_ants
-            self._place(schedules, slots)
-            np.take(self._slot_node, slots, out=chosen)
-            np.take(self._succ_matrix, chosen, axis=0, out=succ_rows)
-            remaining -= succ_rows
+            for schedule, slots, ready_weights, remaining in ants:
+                pick = draw()
+                count = len(slots)
+                if not count:
+                    raise ExplorationError(
+                        "ready set empty with work remaining")
+                cum = list(accumulate(ready_weights))
+                total = cum[-1]
+                if total > 0.0:
+                    # Weights are positive, so a pick <= 0 lands on the
+                    # first candidate; an overshoot maps to the last.
+                    index = bisect_left(cum, pick * total)
+                    if index == count:
+                        index -= 1
+                else:
+                    # Zero (or underflowed) total: uniform pick.
+                    index = min(int(pick * count), count - 1)
+                slot = slots[index]
+                place(schedule, slot)
+                # Retire the placed operation's slots (consecutive in
+                # the sorted ready list) and admit newly ready ones.
+                node = slot_node[slot]
+                start, stop = node_span[node]
+                at = index - (slot - start)
+                del slots[at:at + stop - start]
+                del ready_weights[at:at + stop - start]
+                for succ in succ_index[node]:
+                    remaining[succ] -= 1
+                    if not remaining[succ]:
+                        start, stop = node_span[succ]
+                        at = bisect_left(slots, start)
+                        slots[at:at] = range(start, stop)
+                        ready_weights[at:at] = weights[start:stop]
+        self.stat_rows_vectorized += n_ants * n_nodes
         return [schedule.verify() for schedule in schedules]
 
     # -- placements ---------------------------------------------------------
 
-    def _place(self, schedules, slots):
-        """Apply one drawn (operation, option) per ant.
-
-        Software options and fresh cluster opens stage their first-fit
-        probes and resolve them in one batched scan; hardware options
-        with a parent already clustered in the same ant's schedule take
-        the scalar packing path (joins revise cluster geometry — the
-        genuinely interacting case).
-        """
-        probes = []               # (schedule, uid, option, io, needs)
-        tables = []
-        needs_list = []
-        ready_list = []
-        slot_pairs = self._slot_pairs
-        slot_sw_needs = self._slot_sw_needs
-        open_template = self._open_template
-        for ant, slot in enumerate(slots.tolist()):
-            schedule = schedules[ant]
-            uid, option = slot_pairs[slot]
-            needs = slot_sw_needs[slot]
-            if needs is not None:
-                io = None
-            else:
-                cluster_of = schedule.cluster_of
-                if cluster_of:
-                    joined = False
-                    for pred in self._preds_of[uid]:
-                        if pred in cluster_of:
-                            self.stat_scalar_fallbacks += 1
-                            schedule.schedule_hardware(uid, option)
-                            joined = True
-                            break
-                    if joined:
-                        continue
-                io, needs = open_template[uid]
-                io = io.clone()
-            probes.append((schedule, uid, option, io, needs))
-            tables.append(schedule.table)
-            needs_list.append(needs)
-            ready_list.append(schedule.data_ready(uid))
-        if not probes:
+    def _place(self, schedule, slot):
+        """Apply one drawn (operation, option) to one ant's schedule."""
+        uid, option = self._slot_pairs[slot]
+        needs = self._slot_sw_needs[slot]
+        if needs is not None:
+            cycle = schedule.table.first_fit(
+                needs, not_before=schedule.data_ready(uid))
+            schedule.place_software(uid, option, needs, cycle)
             return
-        cycles = first_fit_batch(tables, needs_list, ready_list)
-        for (schedule, uid, option, io, needs), cycle in zip(probes, cycles):
-            if io is None:
-                schedule.place_software(uid, option, needs, cycle)
-            else:
-                schedule.place_cluster(uid, option, io, needs, cycle)
-
-
-def _roulette_rows(weights, slot_ready, draws,
-                   masked=None, cum=None, below=None, rows=None,
-                   picks=None):
-    """Batched Eq. 1 roulette: one chosen slot per ant row.
-
-    Exact counterpart of the scalar ``_roulette`` over each row's ready
-    slots: zero-weight (unready) slots leave the running cumulative sum
-    unchanged, so the first slot whose cumulative weight reaches the
-    scaled draw is the same candidate the scalar accumulation loop
-    picks, bit for bit.  Degenerate all-zero rows fall back to the
-    scalar path's uniform pick over that row's candidates.  The
-    optional work arrays let the step loop reuse its buffers.
-    """
-    masked = np.multiply(weights, slot_ready, out=masked)
-    cum = np.cumsum(masked, axis=1, out=cum)
-    totals = cum[:, -1]
-    picks = np.multiply(draws, totals, out=picks)
-    below = np.less(cum, picks[:, None], out=below)
-    slots = np.count_nonzero(below, axis=1)
-    n_slots = slot_ready.shape[1]
-    if rows is None:
-        rows = np.arange(len(slots))
-    # Fast path: every total positive, every landing index in range and
-    # on a ready slot — the overwhelmingly common case.
-    if (totals.min() > 0.0 and int(slots.max()) < n_slots
-            and slot_ready[rows, slots].all()):
-        return slots
-    # Rare fix-ups, resolved per affected row:
-    # * a zero (or underflowed) total mirrors the scalar uniform pick
-    #   (and exposes a deadlocked row: no ready slot at all);
-    # * ``pick <= 0`` lands on index 0 even when slot 0 is unready —
-    #   the scalar loop returns the first candidate;
-    # * floating-point overshoot past the last cumulative value maps to
-    #   the last candidate, as the scalar loop's final fallback does.
-    for row in range(len(slots)):
-        slot = slots[row]
-        if (totals[row] > 0.0 and slot < n_slots
-                and slot_ready[row, slot]):
-            continue
-        candidates = np.flatnonzero(slot_ready[row])
-        count = len(candidates)
-        if not count:
-            raise ExplorationError("ready set empty with work remaining")
-        if totals[row] <= 0.0:
-            slots[row] = candidates[min(int(draws[row] * count), count - 1)]
-        elif slot >= n_slots:
-            slots[row] = candidates[-1]
-        else:
-            slots[row] = candidates[0]
-    return slots
+        cluster_of = schedule.cluster_of
+        if cluster_of:
+            for pred in self._preds_of[uid]:
+                if pred in cluster_of:
+                    self.stat_scalar_fallbacks += 1
+                    if schedule.join_parent(uid, option):
+                        return
+                    break
+        io, needs = self._open_template[uid]
+        cycle = schedule.table.first_fit(
+            needs, not_before=schedule.data_ready(uid))
+        schedule.place_cluster(uid, option, io.clone(), needs, cycle)

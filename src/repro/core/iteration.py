@@ -10,6 +10,8 @@ slot.  Clusters grow as members join — their reservation (register
 ports, critical-path cycles) is revised in place.
 """
 
+from functools import lru_cache
+
 from ..errors import ExplorationError, SchedulingError
 from ..graph.analysis import SubgraphIOTracker
 from ..hwlib.asfu import IncrementalDelay
@@ -17,6 +19,17 @@ from ..sched.resources import Needs, ReservationTable
 
 #: Sentinel "no placed external consumer yet" — larger than any cycle.
 _NO_CONSUMER = float("inf")
+
+
+@lru_cache(maxsize=None)
+def asfu_needs(n_in, n_out):
+    """The shared :class:`Needs` of an ASFU reading ``n_in`` and
+    writing ``n_out`` register values (treat it as read-only).
+
+    Every cluster open and join probe needs one, and only a few port
+    counts ever occur, so each is built once.
+    """
+    return Needs(reads=n_in, writes=n_out, fu_kind="asfu")
 
 
 class Cluster:
@@ -137,9 +150,7 @@ class IterationSchedule:
         """Resource demand of placing ``uid`` with a software option.
 
         Split out of :meth:`schedule_software` so the batched runner
-        can stage the first-fit probes of a whole lockstep step and
-        resolve them in one vectorised scan
-        (:func:`~repro.sched.resources.first_fit_batch`).
+        can compute it once per slot instead of once per placement.
         """
         operation = self.dfg.op(uid)
         return Needs(reads=len(operation.sources),
@@ -155,13 +166,19 @@ class IterationSchedule:
 
     def schedule_hardware(self, uid, option):
         """Pack into a parent's cluster if possible, else open a new one."""
+        if not self.join_parent(uid, option):
+            self._open_cluster(uid, option)
+
+    def join_parent(self, uid, option):
+        """Pack ``uid`` into the first parent cluster that accepts it;
+        False (nothing placed) when none does."""
         for cluster in self._parent_clusters(uid):
             if self._try_join(cluster, uid, option):
                 self.stat_cluster_joins += 1
                 self._commit(uid, option, cluster.start)
-                return
+                return True
             self.stat_join_rejects += 1
-        self._open_cluster(uid, option)
+        return False
 
     def _parent_clusters(self, uid):
         """Clusters containing a parent, latest start first."""
@@ -216,12 +233,10 @@ class IterationSchedule:
         new_finish = cluster.start + new_cycles
         if new_finish > cluster.min_ext_start:
             return False
-        new_needs = Needs(reads=n_in, writes=n_out, fu_kind="asfu")
-        self.table.release(cluster.start, cluster.needs)
-        if not self.table.fits(cluster.start, new_needs):
-            self.table.place(cluster.start, cluster.needs)
+        new_needs = asfu_needs(n_in, n_out)
+        if not self.table.try_resize(cluster.start, cluster.needs,
+                                     new_needs):
             return False
-        self.table.place(cluster.start, new_needs)
         cluster.io.commit(io_delta)
         cluster.members.add(uid)
         cluster.option_of[uid] = option
@@ -237,17 +252,11 @@ class IterationSchedule:
         return True
 
     def _open_cluster(self, uid, option):
-        io, needs = self.open_needs(uid)
-        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
-        self.place_cluster(uid, option, io, needs, cycle)
-
-    def open_needs(self, uid):
-        """I/O tracker and resource demand of opening a cluster at
-        ``uid`` — the probe half of :meth:`_open_cluster`, batched
-        across ants by the lockstep runner."""
         io = SubgraphIOTracker(self.dfg)
         io.add(uid)
-        return io, Needs(reads=io.n_in, writes=io.n_out, fu_kind="asfu")
+        needs = asfu_needs(io.n_in, io.n_out)
+        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
+        self.place_cluster(uid, option, io, needs, cycle)
 
     def place_cluster(self, uid, option, io, needs, cycle):
         """Open a singleton cluster at a known first-fit cycle."""

@@ -15,7 +15,7 @@ networkx routines they replace did, so pieces come out in the same
 order and with the same set layout.
 """
 
-from ..graph.analysis import input_values, io_counts, is_convex, output_values
+from ..graph.analysis import io_counts, is_convex
 from ..graph.subgraph import hardware_components
 
 
@@ -158,14 +158,54 @@ def legalize_components(dfg, members, constraints):
 
 def _worst_boundary_node(dfg, piece):
     """Member contributing the most external input values (ties: most
-    external outputs, then highest uid so shedding is deterministic)."""
+    external outputs, then highest uid so shedding is deterministic).
 
-    def badness(uid):
-        ext_in = len(input_values(dfg, {uid}) - input_values(dfg, piece - {uid}))
-        outs = len(output_values(dfg, {uid}))
-        return (ext_in, outs, uid)
-
-    return max(piece, key=badness)
+    A member's external inputs are the values of ``IN({uid})`` that
+    ``IN(piece - {uid})`` lacks; its outputs are ``OUT({uid})``.  Both
+    come from one pass of per-value contribution counts over the piece
+    (external inputs plus values on data edges from non-members), which
+    each member then adjusts by its own edges: O(edges), not O(k^2).
+    """
+    tables = dfg.tables()
+    data_in, data_out = tables.data_in, tables.data_out
+    count = {}
+    for uid in piece:
+        for value in dfg.external_inputs(uid):
+            count[value] = count.get(value, 0) + 1
+        for pred, values in data_in[uid]:
+            if pred not in piece:
+                for value in values:
+                    count[value] = count.get(value, 0) + 1
+    worst = None
+    for uid in piece:
+        # Contributions to IN(piece - {uid}) differ from ``count`` by
+        # uid's own (dropped) and by the values uid sends to members
+        # (added: uid is outside the rest).
+        delta = {}
+        own = set()
+        for value in dfg.external_inputs(uid):
+            delta[value] = delta.get(value, 0) - 1
+            own.add(value)
+        for pred, values in data_in[uid]:
+            outside = pred not in piece
+            for value in values:
+                if outside:
+                    delta[value] = delta.get(value, 0) - 1
+                own.add(value)
+        for succ, values in data_out[uid]:
+            if succ in piece:
+                for value in values:
+                    delta[value] = delta.get(value, 0) + 1
+        ext_in = sum(1 for value in own
+                     if count.get(value, 0) + delta.get(value, 0) <= 0)
+        if data_out[uid] or dfg.is_output(uid):
+            outs = len(set(dfg.op(uid).dests))
+        else:
+            outs = 0
+        key = (ext_in, outs, uid)
+        if worst is None or key > worst:
+            worst = key
+    return worst[2]
 
 
 def extract_components(dfg, chosen_hw):

@@ -251,7 +251,7 @@ class ExplorationState:
             entries.extend(rows[uid])
         return entries
 
-    def cp_weights_batch(self, slot_ready=None):
+    def cp_weights_batch(self):
         """Eq. 1 weight vector over every flat (op, option) slot.
 
         One vectorised pass over the flat trail/merit/SP arrays — the
@@ -259,9 +259,7 @@ class ExplorationState:
         returned doubles are bit-identical to the scalar entries.  The
         state only changes *between* iterations, so one call serves
         every ant of a lockstep batch
-        (:class:`~repro.core.batch.BatchedAntRunner`); with a
-        ``(B, n_slots)`` boolean ``slot_ready`` mask the per-ant masked
-        weight matrix is returned instead (unready slots weigh zero).
+        (:class:`~repro.core.batch.BatchedAntRunner`).
         """
         self.stats["weight_rebuilds"] += 1    # one full-vector rebuild
         params = self.params
@@ -269,9 +267,7 @@ class ExplorationState:
                    + (1.0 - params.alpha) * self._merit_vec
                    + params.lam * self._sp_vec)
         np.maximum(weights, _WEIGHT_FLOOR, out=weights)
-        if slot_ready is None:
-            return weights
-        return weights * slot_ready
+        return weights
 
     def slot_pairs(self):
         """The ``(uid, option)`` pair of every flat slot, in slot order.

@@ -32,6 +32,7 @@ budget only ever *stops* work early, never reorders it.
 
 import random
 from bisect import bisect_left, insort
+from time import perf_counter
 
 import numpy as np
 
@@ -199,6 +200,7 @@ class AcoEngine(ExplorerEngine):
     # -- one full exploration (all rounds) ------------------------------------
 
     def _explore_once(self, original_dfg, rng, io_tables, restart=0):
+        obs = self.obs
         base_cycles = self._evaluate(original_dfg, [], io_tables)
         current_dfg, current_tables = original_dfg, io_tables
         candidates = []
@@ -223,6 +225,8 @@ class AcoEngine(ExplorerEngine):
                     continue
                 # Keep the single best new candidate of the round (the
                 # thesis explores one ISE per round).
+                if obs:
+                    mark = perf_counter()
                 scored = []
                 limit = self.constraints.max_ise_cycles
                 for members, option_of in candidate_members:
@@ -233,6 +237,8 @@ class AcoEngine(ExplorerEngine):
                     trial = candidates + [candidate]
                     cycles = self._evaluate(original_dfg, trial, io_tables)
                     scored.append((cycles, candidate.area, candidate))
+                if obs:
+                    obs.lap("round.score", mark)
                 if not scored:
                     dry_rounds += 1
                     continue
@@ -295,12 +301,20 @@ class AcoEngine(ExplorerEngine):
         iterations = 0
         trace = []
         for _ in range(self.params.max_iterations):
+            if obs:
+                mark = perf_counter()
             schedule = self._run_iteration(dfg, state, rng)
+            if obs:
+                mark = obs.lap("round.construct", mark)
             iterations += 1
             trace.append(schedule.makespan)
             tet_old = update_trails(state, schedule, prev_order, tet_old)
             prev_order = dict(schedule.order)
+            if obs:
+                mark = obs.lap("round.trail", mark)
             update_merits(dfg, state, schedule, self.constraints)
+            if obs:
+                obs.lap("round.merit", mark)
             key = _schedule_key(schedule)
             if best_key is None or key < best_key:
                 best_key = key
@@ -333,7 +347,7 @@ class AcoEngine(ExplorerEngine):
 
         Every batch draws against the same frozen trail/merit state
         (exactly what the scalar loop sees *within* one iteration) via
-        the vectorised :class:`~repro.core.batch.BatchedAntRunner`;
+        the lockstep :class:`~repro.core.batch.BatchedAntRunner`;
         afterwards one Fig. 4.3.5 trail update and one merit sweep are
         folded over the batch, driven by the batch's best schedule
         (iteration-best update — the batched counterpart of the scalar
@@ -354,7 +368,11 @@ class AcoEngine(ExplorerEngine):
         budget = self.params.max_iterations
         converged = False
         while iterations < budget and not converged:
+            if obs:
+                mark = perf_counter()
             schedules = runner.run(rng, min(batch, budget - iterations))
+            if obs:
+                mark = obs.lap("round.construct", mark)
             batch_best = None
             batch_key = None
             for schedule in schedules:
@@ -369,7 +387,11 @@ class AcoEngine(ExplorerEngine):
                     best_schedule = schedule
             tet_old = update_trails(state, batch_best, prev_order, tet_old)
             prev_order = dict(batch_best.order)
+            if obs:
+                mark = obs.lap("round.trail", mark)
             update_merits(dfg, state, batch_best, self.constraints)
+            if obs:
+                obs.lap("round.merit", mark)
             converged = state.converged()
             if obs:
                 floor = state.convergence_floor()
@@ -408,6 +430,9 @@ class AcoEngine(ExplorerEngine):
         drifts off the best schedule it constructed, so both sources
         are proposed and the caller keeps whichever evaluates better.
         """
+        obs = self.obs
+        if obs:
+            mark = perf_counter()
         proposals = []
         seen = set()
         for chosen_hw, option_of in self._candidate_sources(
@@ -419,6 +444,8 @@ class AcoEngine(ExplorerEngine):
                 seen.add(members)
                 proposals.append(
                     (members, {uid: option_of[uid] for uid in members}))
+        if obs:
+            obs.lap("round.proposals", mark)
         return proposals
 
     def _emit_round_obs(self, state, tag, round_index, iterations,

@@ -129,21 +129,21 @@ class SubgraphIOTracker:
         """
         dfg = self.dfg
         members = self.members
-        edges = dfg.graph.edges
+        tables = dfg.tables()
         # IN: edges uid -> member stop crossing; uid's own external
         # inputs and crossing in-edges start counting.
         delta_in = {}
         succ_members = []
-        for succ in dfg.data_successors(uid):
+        for succ, values in tables.data_out[uid]:
             if succ in members:
                 succ_members.append(succ)
-                for value in edges[uid, succ]["values"]:
+                for value in values:
                     delta_in[value] = delta_in.get(value, 0) - 1
         for value in dfg.external_inputs(uid):
             delta_in[value] = delta_in.get(value, 0) + 1
-        for pred in dfg.data_predecessors(uid):
+        for pred, values in tables.data_in[uid]:
             if pred not in members:
-                for value in edges[pred, uid]["values"]:
+                for value in values:
                     delta_in[value] = delta_in.get(value, 0) + 1
         n_in = self.n_in
         for value, delta in delta_in.items():

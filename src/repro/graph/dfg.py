@@ -20,6 +20,7 @@ import networkx as nx
 
 from ..errors import IRError
 from ..isa.instruction import Operation
+from .tables import DFGTables
 
 
 class DFG:
@@ -50,11 +51,17 @@ class DFG:
         # geometry memo, built lazily on the first contraction, dropped
         # on mutation and left out of pickles entirely.
         self._skeleton = None
+        # Walk tables (repro.graph.tables.DFGTables): data-edge value
+        # tuples and a topological rank, same lifecycle as _skeleton.
+        # Kept out of _adj, which pickles: DFGs from older caches carry
+        # the 8-tuple _adj and must keep loading.
+        self._tables = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_bitset"] = None
         del state["_skeleton"]
+        del state["_tables"]
         return state
 
     def __setstate__(self, state):
@@ -63,6 +70,7 @@ class DFG:
         self.__dict__.setdefault("_adj", None)
         self.__dict__.setdefault("_bitset", None)
         self._skeleton = None
+        self._tables = None
 
     def _adjacency(self):
         adj = self._adj
@@ -98,6 +106,7 @@ class DFG:
         self._adj = None
         self._bitset = None
         self._skeleton = None
+        self._tables = None
         return operation.uid
 
     def add_data_edge(self, src, dst, value):
@@ -112,6 +121,7 @@ class DFG:
         self._adj = None
         self._bitset = None
         self._skeleton = None
+        self._tables = None
 
     def add_order_edge(self, src, dst):
         """Add a memory-ordering edge (no value carried)."""
@@ -120,6 +130,7 @@ class DFG:
             self._adj = None
             self._bitset = None
             self._skeleton = None
+            self._tables = None
 
     def op(self, uid):
         """The :class:`Operation` at node ``uid``."""
@@ -183,6 +194,13 @@ class DFG:
         if adj is None:
             adj = self._adjacency()
         return adj[7][uid]
+
+    def tables(self):
+        """The cached :class:`~repro.graph.tables.DFGTables` walk view."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = DFGTables(self)
+        return tables
 
     def external_inputs(self, uid):
         """Value names node ``uid`` reads from outside the block.

@@ -9,6 +9,7 @@ candidates with exactly this model).
 """
 
 from ..errors import ConfigError
+from ..graph.dfg import DFG
 from .technology import DEFAULT_TECHNOLOGY
 
 
@@ -37,9 +38,10 @@ def subgraph_delay_ns(graph, nodes, option_of):
         raise ConfigError("an ASFU needs at least one operation")
     # Longest path via one DFS-free topological sweep.  The node set is
     # a subset of a DAG, so iterating nodes in any topological order of
-    # the full graph is valid for the induced subgraph too.
+    # the full graph is valid for the induced subgraph too, and every
+    # such order yields the same arrival floats.
     longest = {}
-    for node in _topological(graph, members):
+    for node in _member_order(graph, members):
         arrival = 0.0
         for pred in graph.predecessors(node):
             if pred in members:
@@ -98,7 +100,7 @@ class IncrementalDelay:
     def rebuild(self, members, option_of):
         """Recompute all arrivals from scratch (non-sink growth)."""
         self.longest = {}
-        for node in _topological(self.graph, set(members)):
+        for node in _member_order(self.graph, set(members)):
             arrival = 0.0
             for pred in self.graph.predecessors(node):
                 value = self.longest.get(pred)
@@ -106,6 +108,21 @@ class IncrementalDelay:
                     arrival = value
             self.longest[node] = arrival + option_of(node).delay_ns
         self.delay_ns = max(self.longest.values())
+
+
+def _member_order(graph, members):
+    """``members`` in a topological order of ``graph``.
+
+    A :class:`~repro.graph.dfg.DFG` sorts them by its cached DFG-wide
+    topological rank.  Uid order would not do: contraction gives an ISE
+    supernode a uid above its successors.  Cyclic DFGs and other graph
+    types fall back to a Kahn sort over the members.
+    """
+    if isinstance(graph, DFG):
+        rank = graph.tables().rank
+        if rank is not None:
+            return sorted(members, key=rank.__getitem__)
+    return _topological(graph, members)
 
 
 def _topological(graph, members):

@@ -2,7 +2,8 @@
 
 An :class:`Observer` owns a :class:`~repro.obs.metrics.MetricsRegistry`
 and a list of sinks, and offers four verbs — :meth:`event`,
-:meth:`count`, :meth:`gauge` and :meth:`timer`.  Everything in the
+:meth:`count`, :meth:`gauge` and :meth:`timer` (with :meth:`lap` for
+timing consecutive phases of a loop).  Everything in the
 engine takes an observer (defaulting to :data:`NULL_OBSERVER`) and
 guards its instrumentation with a truth test::
 
@@ -117,6 +118,23 @@ class Observer:
             return _NULL_TIMER
         return _Timer(self, name)
 
+    def lap(self, name, start):
+        """Record the time since ``start`` into timer ``name``.
+
+        Returns the current :func:`time.perf_counter` reading, so a
+        loop times consecutive phases with one clock read per phase::
+
+            if obs:
+                mark = time.perf_counter()
+            build()
+            if obs:
+                mark = obs.lap("phase.build", mark)
+        """
+        now = time.perf_counter()
+        if self.enabled:
+            self._record_time(name, now - start)
+        return now
+
     # -- delivery / merge --------------------------------------------------
 
     def _deliver(self, kind, data):
@@ -205,6 +223,10 @@ class NullObserver:
     def timer(self, name):
         """A timer that measures nothing."""
         return _NULL_TIMER
+
+    def lap(self, name, start):
+        """No-op; returns ``start``."""
+        return start
 
     def replay(self, records):
         """No-op."""

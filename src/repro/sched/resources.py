@@ -5,7 +5,7 @@ function units by kind.  Both the exploration-internal incremental
 scheduler (Operation-Scheduling) and the final list scheduler consult
 and update the same table type; the exploration side additionally needs
 to *revise* a placed reservation when a hardware operation joins an
-existing ISE cluster, which :meth:`release` + re-:meth:`place` support.
+existing ISE cluster, which :meth:`try_resize` does in one fit check.
 
 Layout
 ------
@@ -15,13 +15,12 @@ further row per function-unit kind of the machine — and one column per
 cycle.  The matrix grows geometrically as later cycles are touched, and
 ``_hi`` marks the end of the ever-touched prefix: every column at or
 beyond ``_hi`` is known-empty, so feasibility there is a pure budget
-check.  Scalar probes (:meth:`fits`, :meth:`place`, :meth:`release`)
-go through per-row :class:`memoryview`\\ s over the same buffer — as
-cheap as list indexing — while :meth:`first_fit` falls back to a
-single vectorized boolean-AND scan over the occupied region when the
-scalar fast path misses.  Infeasible demands (a :class:`Needs` that
-exceeds a machine budget outright) are rejected upfront instead of
-scanning the cycle horizon.
+check.  Every probe (:meth:`fits`, :meth:`place`, :meth:`release`,
+:meth:`try_resize` and the :meth:`first_fit` scan over the occupied
+region) goes through per-row :class:`memoryview`\\ s over the same
+buffer — as cheap as list indexing.  Infeasible demands (a
+:class:`Needs` that exceeds a machine budget outright) are rejected
+upfront instead of scanning the cycle horizon.
 """
 
 import numpy as np
@@ -176,14 +175,55 @@ class ReservationTable:
                 or (row is not None and views[row][cycle] < 0)):
             raise SchedulingError("release without matching place")
 
+    def try_resize(self, cycle, old, new):
+        """Swap a placed ``old`` reservation at ``cycle`` for ``new``.
+
+        One fit check against the usage without ``old``: True when
+        ``new`` fits and has replaced it, False (table unchanged) when
+        it does not.  The same effect as :meth:`release` then
+        :meth:`fits` then :meth:`place` (or re-placing ``old``), and the
+        same :class:`~repro.errors.SchedulingError` when ``old`` was
+        never placed there.
+        """
+        if cycle < 0 or cycle >= self._hi:
+            raise SchedulingError("release without matching place")
+        views = self._views
+        issue = views[_ISSUE][cycle] - old.issue
+        reads = views[_READS][cycle] - old.reads
+        writes = views[_WRITES][cycle] - old.writes
+        old_row = self._fu_row.get(old.fu_kind)
+        new_row = self._fu_row.get(new.fu_kind)
+        old_fu = 0 if old_row is None else (
+            views[old_row][cycle] - old.fu_count)
+        if issue < 0 or reads < 0 or writes < 0 or old_fu < 0:
+            raise SchedulingError("release without matching place")
+        if (issue + new.issue > self._issue_width
+                or reads + new.reads > self._read_ports
+                or writes + new.writes > self._write_ports):
+            return False
+        if new_row is None:
+            if new.fu_count > 0:
+                return False
+        else:
+            fu = old_fu if new_row == old_row else views[new_row][cycle]
+            if fu + new.fu_count > self._fu_avail[new.fu_kind]:
+                return False
+        views[_ISSUE][cycle] = issue + new.issue
+        views[_READS][cycle] = reads + new.reads
+        views[_WRITES][cycle] = writes + new.writes
+        if old_row is not None:
+            views[old_row][cycle] -= old.fu_count
+        if new_row is not None:
+            views[new_row][cycle] += new.fu_count
+        return True
+
     def first_fit(self, needs, not_before=0, horizon=1 << 20):
         """Earliest cycle ≥ ``not_before`` where ``needs`` fits.
 
         Demands that can *never* fit (exceeding a machine budget
         outright) raise immediately instead of scanning the horizon.
-        The common case — the first candidate cycle fits — is a scalar
-        probe; otherwise the occupied region is scanned with one
-        vectorized boolean-AND feasibility mask.
+        The common case — the first candidate cycle fits — is one
+        probe; otherwise the rest of the occupied region is walked.
         """
         self.stat_first_fit_scans += 1
         if (needs.issue > self._issue_width
@@ -210,45 +250,33 @@ class ReservationTable:
         raise SchedulingError("no feasible cycle below horizon")
 
     def _scan(self, start, stop, needs):
-        """Vectorized earliest-fit over ``[start, stop)``; -1 when full."""
+        """Earliest fit over ``[start, stop)``; -1 when every cycle is full.
+
+        A plain walk over the row memoryviews: the occupied region is a
+        handful of cycles, too short for array set-up to pay.
+        """
         if start >= stop:
             return -1
         self.stat_scan_cycles += stop - start
-        use = self._use
-        ok = None
+        views = self._views
+        checks = []
         for row, demand, budget in (
                 (_ISSUE, needs.issue, self._issue_width),
                 (_READS, needs.reads, self._read_ports),
                 (_WRITES, needs.writes, self._write_ports),
                 (self._fu_row.get(needs.fu_kind), needs.fu_count,
                  self._fu_avail.get(needs.fu_kind, 0))):
-            if not demand or row is None:
-                continue
-            mask = use[row, start:stop] <= budget - demand
-            ok = mask if ok is None else (ok & mask)
-        if ok is None:
+            if demand and row is not None:
+                checks.append((views[row], budget - demand))
+        if not checks:
             return start              # demands nothing: first cycle fits
-        index = int(ok.argmax())
-        if ok[index]:
-            return start + index
+        for cycle in range(start, stop):
+            for view, cap in checks:
+                if view[cycle] > cap:
+                    break
+            else:
+                return cycle
         return -1
-
-    def _budget_of(self, needs):
-        """(row, demand, budget) triples of a demand, or ``None`` when
-        the demand can never fit this machine."""
-        if (needs.issue > self._issue_width
-                or needs.reads > self._read_ports
-                or needs.writes > self._write_ports
-                or needs.fu_count > self._fu_avail.get(needs.fu_kind, 0)):
-            return None
-        triples = [(_ISSUE, needs.issue, self._issue_width),
-                   (_READS, needs.reads, self._read_ports),
-                   (_WRITES, needs.writes, self._write_ports)]
-        row = self._fu_row.get(needs.fu_kind)
-        if row is not None:
-            triples.append((row, needs.fu_count,
-                            self._fu_avail[needs.fu_kind]))
-        return triples
 
     # -- pickling (memoryviews do not pickle) -------------------------------
 
@@ -276,8 +304,9 @@ class ReservationTable:
     def verify_nonnegative(self):
         """Debug check: no usage counter anywhere went negative.
 
-        Guards the place/release/re-place revision cycles of cluster
-        growth against capacity leaks; raises
+        Guards the reservation revisions of cluster growth
+        (:meth:`release`, :meth:`try_resize`) against capacity leaks;
+        raises
         :class:`~repro.errors.SchedulingError` on violation.
         """
         if self._hi and bool((self._use[:, :self._hi] < 0).any()):
@@ -287,82 +316,3 @@ class ReservationTable:
                 "matching place".format(sorted(set(int(c) for c in cycles))))
         return True
 
-
-#: Probe count below which the scalar fits-at-start loop beats the
-#: stacked-tensor scan (dominated by its per-probe set-up copies).
-#: Benchmarked on the BENCH_sched workloads: the scalar loop wins for
-#: every lockstep width up to the default batch of 16.
-_TENSOR_CUTOVER = 24
-
-
-def first_fit_batch(tables, needs_list, not_befores):
-    """Earliest-fit cycle for one ``(table, needs, not_before)`` probe
-    per entry, resolved in a single vectorised pass.
-
-    The batched ant runner stages the independent first-fit probes of a
-    lockstep step (each ant owns its own table) and scans them all at
-    once: the occupied prefixes are stacked into one ``(K, rows, H)``
-    tensor — columns beyond a table's high-water mark are zero, exactly
-    what an untouched cycle looks like — and feasibility is one
-    boolean reduction.  Per-probe results are identical to calling
-    :meth:`ReservationTable.first_fit` table by table, including the
-    known-empty fast path and the ``hi`` fallback; infeasible demands
-    raise the same :class:`~repro.errors.SchedulingError`.  Small
-    batches skip the stacking and loop the scalar method instead: its
-    fits-at-start fast path beats the tensor set-up cost until well
-    past the default lockstep width (measured cutover above).
-    """
-    count = len(tables)
-    if count != len(needs_list) or count != len(not_befores):
-        raise SchedulingError("mismatched first_fit_batch arguments")
-    if count <= _TENSOR_CUTOVER:
-        return [table.first_fit(needs, not_before=not_before)
-                for table, needs, not_before
-                in zip(tables, needs_list, not_befores)]
-    budgets = []
-    for table, needs in zip(tables, needs_list):
-        triples = table._budget_of(needs)
-        if triples is None:
-            raise SchedulingError(
-                "no feasible cycle below horizon: {} exceeds the machine "
-                "budget".format(needs))
-        budgets.append(triples)
-    cycles = [0] * count
-    scan = []                     # probes that must look at occupancy
-    for probe, (table, not_before) in enumerate(zip(tables, not_befores)):
-        table.stat_first_fit_scans += 1
-        start = max(0, int(not_before))
-        if start >= table._hi:
-            cycles[probe] = start     # known-empty region
-        else:
-            scan.append(probe)
-    if not scan:
-        return cycles
-    width = max(tables[probe]._hi for probe in scan)
-    rows = tables[scan[0]]._use.shape[0]
-    stack = np.zeros((len(scan), rows, width), dtype=np.int32)
-    demand = np.zeros((len(scan), rows), dtype=np.int32)
-    budget = np.zeros((len(scan), rows), dtype=np.int32)
-    budget[:, :] = np.iinfo(np.int32).max
-    starts = np.empty(len(scan), dtype=np.intp)
-    for index, probe in enumerate(scan):
-        table = tables[probe]
-        hi = table._hi
-        stack[index, :, :hi] = table._use[:, :hi]
-        for row, need, cap in budgets[probe]:
-            demand[index, row] = need
-            budget[index, row] = cap
-        starts[index] = max(0, int(not_befores[probe]))
-        table.stat_scan_cycles += hi - starts[index]
-    feasible = ((stack + demand[:, :, None] <= budget[:, :, None])
-                .all(axis=1))
-    feasible &= np.arange(width)[None, :] >= starts[:, None]
-    first = feasible.argmax(axis=1)
-    found = feasible[np.arange(len(scan)), first]
-    for index, probe in enumerate(scan):
-        # No fit inside the stacked window only happens when this
-        # table's occupancy spans the whole window; the scalar path
-        # then falls through to its known-empty high-water mark.
-        cycles[probe] = int(first[index]) if found[index] \
-            else tables[probe]._hi
-    return cycles

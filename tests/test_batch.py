@@ -27,12 +27,11 @@ from repro.core.merit import update_merits
 from repro.core.state import ExplorationState
 from repro.core.trail import update_trails
 from repro.engines.aco import AcoEngine
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError
 from repro.hwlib import DEFAULT_DATABASE, default_io_table
 from repro.ir.passes.pipeline import optimize
 from repro.obs import Observer
 from repro.sched import MachineConfig
-from repro.sched.resources import Needs, ReservationTable, first_fit_batch
 from repro.workloads import get_workload
 
 from conftest import diamond_dfg
@@ -83,6 +82,18 @@ class TestResolveBatch:
             resolve_batch("many")
         with pytest.raises(ConfigError):
             resolve_batch(-2)
+
+    @pytest.mark.parametrize("batch", [2.5, 4.0, True, False, [4]])
+    def test_rejects_bools_and_non_integers(self, batch):
+        with pytest.raises(ConfigError, match="integer or 'auto'"):
+            resolve_batch(batch)
+
+    def test_api_rejects_fractional_batch(self):
+        from repro import api
+        with pytest.raises(ConfigError, match="integer or 'auto'"):
+            api.explore("crc32", batch=2.5)
+        with pytest.raises(ConfigError, match="integer or 'auto'"):
+            api.explore("crc32", batch=True)
 
     def test_records_gauge(self):
         obs = Observer()
@@ -229,44 +240,6 @@ class TestReadyListStaysSorted:
         assert checked["count"] > 0
 
 
-# -- batched first-fit probes match the scalar scan --------------------------
-
-class TestFirstFitBatch:
-    def _random_table(self, rng, machine):
-        table = ReservationTable(machine)
-        for __ in range(rng.randrange(12)):
-            needs = Needs(reads=rng.randrange(3), writes=rng.randrange(2),
-                          fu_kind=rng.choice(["alu", "asfu"]))
-            table.place(table.first_fit(needs,
-                                        not_before=rng.randrange(4)),
-                        needs)
-        return table
-
-    @pytest.mark.parametrize("count", [3, 40])
-    def test_matches_scalar_first_fit(self, count):
-        """Both dispatch regimes (scalar below the tensor cutover, the
-        stacked tensor scan above it) agree with per-table first_fit."""
-        rng = random.Random(count)
-        machine = MachineConfig(2, "4/2")
-        tables, needs_list, not_befores = [], [], []
-        for __ in range(count):
-            tables.append(self._random_table(rng, machine))
-            needs_list.append(Needs(reads=rng.randrange(4),
-                                    writes=rng.randrange(3),
-                                    fu_kind=rng.choice(["alu", "asfu"])))
-            not_befores.append(rng.randrange(6))
-        expected = [table.first_fit(needs, not_before=not_before)
-                    for table, needs, not_before
-                    in zip(tables, needs_list, not_befores)]
-        assert first_fit_batch(tables, needs_list, not_befores) == expected
-
-    def test_rejects_mismatched_lengths(self):
-        machine = MachineConfig(2, "4/2")
-        table = ReservationTable(machine)
-        with pytest.raises(SchedulingError):
-            first_fit_batch([table], [Needs()], [0, 1])
-
-
 # -- observability ----------------------------------------------------------
 
 class TestBatchCounters:
@@ -285,6 +258,27 @@ class TestBatchCounters:
         assert "batch.scalar_fallbacks" in counters
         assert obs.metrics.snapshot()["gauges"]["batch.effective"] \
             == DEFAULT_BATCH
+
+    @pytest.mark.parametrize("batch", [1, DEFAULT_BATCH])
+    def test_round_phase_timers(self, batch):
+        """Both round loops time their phases, and observing them
+        leaves the results bit-identical."""
+        dfgs = _hot_dfgs("crc32", max_blocks=1)
+        params = ExplorationParams(max_iterations=20, restarts=1,
+                                   max_rounds=2)
+        obs = Observer()
+        observed = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                             seed=1, batch=batch, obs=obs)
+        plain = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                          seed=1, batch=batch)
+        assert (_result_digest(observed.explore_many(dfgs, jobs=1))
+                == _result_digest(plain.explore_many(dfgs, jobs=1)))
+        timers = obs.metrics.snapshot()["timers"]
+        rounds = obs.metrics.snapshot()["counters"]["explore.rounds"]
+        for name in ("round.construct", "round.trail", "round.merit"):
+            assert timers[name]["count"] >= rounds
+        assert timers["round.proposals"]["count"] == rounds
+        assert 1 <= timers["round.score"]["count"] <= rounds
 
     def test_scalar_path_emits_no_batch_counters(self):
         dfgs = _hot_dfgs("crc32", max_blocks=1)
@@ -355,9 +349,9 @@ class TestTemplateOpenNoRewalk:
             sorted(runner._open_template)[0]][0].members
 
     def test_batched_run_walks_only_on_scalar_fallbacks(self, monkeypatch):
-        """A full lockstep batch constructs fresh trackers (the
-        edge-walking kind) only on the scalar-fallback path; every
-        other cluster open is a template clone."""
+        """A full lockstep batch constructs no fresh tracker (the
+        edge-walking kind): every cluster open, including one after a
+        rejected join on the join path, is a template clone."""
         from repro.graph.analysis import SubgraphIOTracker
         dfg = _hot_dfgs("crc32", max_blocks=1)[0]
         runner = self._runner(dfg)
@@ -372,10 +366,9 @@ class TestTemplateOpenNoRewalk:
         schedules = runner.run(random.Random(11), DEFAULT_BATCH)
         opened = sum(len(schedule.clusters) for schedule in schedules)
         assert opened > 0
-        # Fresh walks are bounded by the fallbacks; the (many more)
-        # remaining opens all went through clone().
-        assert len(built) <= runner.stat_scalar_fallbacks
-        assert opened > len(built)
+        assert runner.stat_scalar_fallbacks > 0
+        assert sum(schedule.stat_join_rejects for schedule in schedules)
+        assert built == []
 
     def test_clone_beats_rewalk_microbench(self):
         """Micro-benchmark backing: cloning the template is no slower
