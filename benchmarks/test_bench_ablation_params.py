@@ -8,7 +8,7 @@ claimed trends are visible.
 """
 
 from repro.config import ExplorationParams
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.ir.analysis import liveness
 from repro.ir.passes import optimize
@@ -31,7 +31,7 @@ def _explore(dfg, **overrides):
     machine = MachineConfig(2, "4/2")
     params = ExplorationParams(max_iterations=250, restarts=1,
                                max_rounds=4, **overrides)
-    explorer = MultiIssueExplorer(machine, params=params, seed=7)
+    explorer = AcoEngine(machine, params=params, seed=7)
     result = explorer.explore(dfg)
     saving = result.base_cycles - result.final_cycles
     return saving, result.iterations

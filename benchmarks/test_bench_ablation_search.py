@@ -7,9 +7,9 @@ option flips, and deterministic greedy cone growth — same constraints,
 same evaluator.
 """
 
-from repro.baselines import AnnealingExplorer, GreedyExplorer
+from repro import engines
 from repro.config import ExplorationParams
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.ir.analysis import liveness
 from repro.ir.passes import optimize
@@ -40,11 +40,10 @@ def test_bench_ablation_search(benchmark):
                                    max_rounds=6)
         rows = {}
         for workload, dfg in _hot_dfgs():
-            aco = MultiIssueExplorer(machine, params=params,
-                                     seed=7).explore(dfg)
-            sa = AnnealingExplorer(machine, seed=7,
-                                   steps=600).explore(dfg)
-            greedy = GreedyExplorer(machine).explore(dfg)
+            aco = AcoEngine(machine, params=params, seed=7).explore(dfg)
+            sa = engines.create("annealing", machine, seed=7,
+                                steps=600).explore(dfg)
+            greedy = engines.create("greedy", machine).explore(dfg)
             rows[workload] = {
                 "base": aco.base_cycles,
                 "ACO": (aco.final_cycles, aco.total_area),

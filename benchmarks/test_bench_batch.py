@@ -31,7 +31,7 @@ import time
 
 from repro.config import ExplorationParams
 from repro.core.batch import DEFAULT_BATCH
-from repro.core.exploration import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.sched.machine import MachineConfig
 
 from conftest import run_once
@@ -79,8 +79,8 @@ def test_bench_batch_speedup(benchmark):
     params = ExplorationParams(max_iterations=80, restarts=4, max_rounds=6)
 
     def explore_at(batch):
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=17, batch=batch)
+        explorer = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                             seed=17, batch=batch)
         start = time.perf_counter()
         results = explorer.explore_many(dfgs, jobs=1)
         return results, time.perf_counter() - start

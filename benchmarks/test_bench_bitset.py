@@ -28,7 +28,7 @@ import random
 import time
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.core.exploration import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import analysis
 from repro.graph.bitset import BITSET_ENV, bitset_view
 from repro.graph.fuzz import random_dfg, random_members
@@ -75,7 +75,7 @@ def _engine_digest(bitset_on):
     previous = os.environ.get(BITSET_ENV)
     os.environ[BITSET_ENV] = "1" if bitset_on else "0"
     try:
-        explorer = MultiIssueExplorer(
+        explorer = AcoEngine(
             MachineConfig(2, "4/2"),
             params=ExplorationParams(max_iterations=80, restarts=4,
                                      max_rounds=6),

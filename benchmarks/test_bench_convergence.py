@@ -10,7 +10,7 @@ budget (the point of the trail/merit feedback).
 """
 
 from repro.config import ExplorationParams
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.ir.analysis import liveness
 from repro.ir.passes import optimize
@@ -35,8 +35,8 @@ def test_bench_convergence(benchmark):
         dfg = _hot_dfg()
         params = ExplorationParams(max_iterations=200, restarts=1,
                                    max_rounds=1)
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=11)
+        explorer = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                             seed=11)
         result = explorer.explore(dfg)
         return result.traces[0]
 

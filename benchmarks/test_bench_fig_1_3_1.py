@@ -9,7 +9,7 @@ case-1 vs case-2 comparison).
 """
 
 from repro import ExplorationParams, MachineConfig
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.hwlib import DEFAULT_TECHNOLOGY
 from repro.ir import FunctionBuilder
@@ -49,8 +49,8 @@ def test_bench_fig_1_3_1(benchmark):
         single = MachineConfig(1, "4/2")
         dual = MachineConfig(2, "4/2")
         params = ExplorationParams(max_iterations=150, restarts=3)
-        ise_1 = MultiIssueExplorer(single, params=params, seed=7).explore(dfg)
-        ise_2 = MultiIssueExplorer(dual, params=params, seed=7).explore(dfg)
+        ise_1 = AcoEngine(single, params=params, seed=7).explore(dfg)
+        ise_2 = AcoEngine(dual, params=params, seed=7).explore(dfg)
         return {
             "single/no-ise": _schedule(dfg, single),
             "dual/no-ise": _schedule(dfg, dual),

@@ -1,6 +1,6 @@
 """Hot-path benchmark: serial vs process-parallel exploration.
 
-Times :meth:`MultiIssueExplorer.explore_many` over the hot blocks of
+Times :meth:`AcoEngine.explore_many` over the hot blocks of
 three workloads with ``jobs=1`` and ``jobs=4`` and writes
 ``BENCH_hotpath.json`` (serial_s, parallel_s, speedup, per-iteration
 throughput) at the repository root.  Parity is a *hard* assertion —
@@ -15,8 +15,8 @@ import os
 import time
 
 from repro.config import ExplorationParams
-from repro.core.exploration import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow
+from repro.engines.aco import AcoEngine
 from repro.ir.passes.pipeline import optimize
 from repro.sched.machine import MachineConfig
 from repro.workloads import get_workload
@@ -51,8 +51,7 @@ def test_bench_hotpath_parallel(benchmark):
     dfgs = _hot_dfgs()
     params = ExplorationParams(max_iterations=80, restarts=JOBS,
                                max_rounds=6)
-    explorer = MultiIssueExplorer(MachineConfig(2, "4/2"), params=params,
-                                  seed=17)
+    explorer = AcoEngine(MachineConfig(2, "4/2"), params=params, seed=17)
 
     def measure():
         start = time.perf_counter()

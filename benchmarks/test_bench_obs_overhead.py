@@ -20,8 +20,8 @@ import time
 import timeit
 
 from repro.config import ExplorationParams
-from repro.core.exploration import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow
+from repro.engines.aco import AcoEngine
 from repro.ir.passes.pipeline import optimize
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sched.machine import MachineConfig
@@ -82,8 +82,8 @@ def test_bench_obs_overhead(benchmark):
                                max_rounds=6)
 
     def explore_with(obs):
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=17, obs=obs)
+        explorer = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                             seed=17, obs=obs)
         start = time.perf_counter()
         results = explorer.explore_many(dfgs, jobs=1)
         return results, time.perf_counter() - start

@@ -38,8 +38,8 @@ import time
 from repro.config import ExplorationParams
 from repro.core import parallel
 from repro.core.batch import DEFAULT_BATCH
-from repro.core.exploration import MultiIssueExplorer
 from repro.core.pool import active_pool, shutdown_pools
+from repro.engines.aco import AcoEngine
 from repro.sched.machine import MachineConfig
 
 from conftest import jobs_environment, run_once
@@ -68,9 +68,8 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
     params = ExplorationParams(max_iterations=80, restarts=4, max_rounds=6)
 
     def explore_at(jobs):
-        explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                      params=params, seed=17,
-                                      batch=DEFAULT_BATCH)
+        explorer = AcoEngine(MachineConfig(2, "4/2"), params=params,
+                             seed=17, batch=DEFAULT_BATCH)
         start = time.perf_counter()
         results = explorer.explore_many(dfgs, jobs=jobs)
         return results, time.perf_counter() - start

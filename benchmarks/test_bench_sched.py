@@ -31,8 +31,8 @@ import os
 import time
 
 from repro.config import ExplorationParams
-from repro.core.exploration import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow
+from repro.engines.aco import AcoEngine
 from repro.ir.passes.pipeline import optimize
 from repro.sched.machine import MachineConfig
 from repro.workloads import get_workload
@@ -99,9 +99,8 @@ def test_bench_sched_kernel(benchmark):
     def measure():
         runs = []
         for __ in range(REPEATS):
-            explorer = MultiIssueExplorer(MachineConfig(2, "4/2"),
-                                          params=params, seed=17,
-                                          batch=1)
+            explorer = AcoEngine(MachineConfig(2, "4/2"),
+                                 params=params, seed=17, batch=1)
             start = time.perf_counter()
             results = explorer.explore_many(dfgs, jobs=1)
             runs.append((time.perf_counter() - start, results, explorer))

@@ -9,7 +9,7 @@ Two contracts:
   standings (best cycles, evaluations used, wall time, cache hit rate)
   land in ``BENCH_tourney.json``;
 * the **parity gate** — ``engine="aco"`` must remain bit-identical to
-  the historical ``MultiIssueExplorer``: an *unbudgeted* ACO run over
+  the pre-registry ACO explorer: an *unbudgeted* ACO run over
   the golden workload of ``test_bench_sched.py`` must reproduce
   ``GOLDEN_DIGEST`` exactly.  Unlike the wall-clock gates this is a
   determinism contract, so it is asserted on every run (strict mode

@@ -12,7 +12,7 @@ Usage::
 """
 
 from repro import ExplorationParams, MachineConfig
-from repro.core import MultiIssueExplorer
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.ir import parse_functions
 from repro.ir.analysis import liveness
@@ -53,7 +53,7 @@ def main():
     print("\n--- before (software only) ---")
     print(emit_block_listing(dfg, before))
 
-    explorer = MultiIssueExplorer(
+    explorer = AcoEngine(
         machine, params=ExplorationParams(max_iterations=150, restarts=3),
         seed=5)
     result = explorer.explore(dfg)

@@ -5,16 +5,14 @@ Shows the full library workflow on code that is *not* one of the seven
 bundled benchmarks: build a saturating multiply-accumulate filter tap
 kernel with :class:`~repro.ir.builder.FunctionBuilder`, verify it in
 the interpreter against a Python model, then explore ISEs for it and
-compare the MI explorer against the greedy and SI baselines.
+compare the MI engine against the SI and greedy comparator engines.
 
 Usage::
 
     python examples/custom_kernel.py
 """
 
-from repro import ExplorationParams, MachineConfig
-from repro.baselines import GreedyExplorer, SingleIssueExplorer
-from repro.core import MultiIssueExplorer
+from repro import ExplorationParams, MachineConfig, engines
 from repro.graph import build_dfg
 from repro.ir import FunctionBuilder, Program, run_program
 from repro.ir.analysis import liveness
@@ -100,12 +98,9 @@ def main():
 
     machine = MachineConfig(2, "6/3")
     params = ExplorationParams(max_iterations=150, restarts=3)
-    explorers = [
-        ("MI   ", MultiIssueExplorer(machine, params=params, seed=3)),
-        ("SI   ", SingleIssueExplorer(machine, params=params, seed=3)),
-        ("GREEDY", GreedyExplorer(machine)),
-    ]
-    for label, explorer in explorers:
+    for label, name in (("MI   ", "aco"), ("SI   ", "si"),
+                        ("GREEDY", "greedy")):
+        explorer = engines.create(name, machine, params=params, seed=3)
         outcome = explorer.explore(dfg)
         print("\n{}: {} -> {} cycles with {} ISE(s)".format(
             label, outcome.base_cycles, outcome.final_cycles,

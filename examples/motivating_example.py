@@ -13,7 +13,8 @@ Usage::
     python examples/motivating_example.py
 """
 
-from repro import ExplorationParams, MachineConfig, MultiIssueExplorer
+from repro import ExplorationParams, MachineConfig
+from repro.engines.aco import AcoEngine
 from repro.graph import build_dfg
 from repro.ir import FunctionBuilder
 from repro.ir.analysis import liveness
@@ -62,7 +63,7 @@ def main():
 
     # Explore for each architecture.
     for label, machine in (("1-issue", single), ("2-issue", dual)):
-        explorer = MultiIssueExplorer(machine, params=params, seed=7)
+        explorer = AcoEngine(machine, params=params, seed=7)
         result = explorer.explore(dfg)
         print("\nISE explored FOR the {} machine:".format(label))
         for candidate in result.candidates:

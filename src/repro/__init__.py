@@ -7,8 +7,9 @@ the evaluation needs — a PISA-like ISA model, a small compiler (IR,
 -O0/-O3 pipelines, interpreter/profiler), the Table 5.1.1 hardware
 database, a multi-issue list scheduler, the complete ISE design flow
 (explore -> merge -> select/share -> replace -> schedule), the
-SI/greedy/exact comparators, the seven benchmark kernels, and the
-chapter-5 experiment harness.
+SI/greedy/annealing/exact comparators as registry engines
+(:mod:`repro.engines`), the seven benchmark kernels, and the chapter-5
+experiment harness.
 
 Quickstart — the stable public API (:mod:`repro.api`)::
 
@@ -32,12 +33,7 @@ from .config import (
 from .errors import ReproError
 from .hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY, Technology
 from .sched import MachineConfig, paper_machines
-from .core import (
-    ISECandidate,
-    ISEDesignFlow,
-    MultiIssueExplorer,
-)
-from .baselines import ExactExplorer, GreedyExplorer, SingleIssueExplorer
+from .core import ISECandidate, ISEDesignFlow
 from .workloads import all_workloads, get_workload, workload_names
 from .obs import (
     NULL_OBSERVER,
@@ -69,10 +65,8 @@ __all__ = [
     "DEFAULT_DATABASE",
     "DEFAULT_PARAMS",
     "DEFAULT_TECHNOLOGY",
-    "ExactExplorer",
     "ExplorationParams",
     "ExploreResult",
-    "GreedyExplorer",
     "ISECandidate",
     "ISEConstraints",
     "ISEDesignFlow",
@@ -80,7 +74,6 @@ __all__ = [
     "MachineConfig",
     "MemorySink",
     "MetricsRegistry",
-    "MultiIssueExplorer",
     "NULL_OBSERVER",
     "Observer",
     "ProgressSink",
@@ -88,7 +81,6 @@ __all__ = [
     "SelectionResult",
     "ServiceClient",
     "ServiceError",
-    "SingleIssueExplorer",
     "SweepResult",
     "SweepRow",
     "Technology",

@@ -9,7 +9,6 @@ from .merit import update_merits
 from .analysis import ScheduleAnalysis
 from .make_convex import legalize_components, make_convex
 from .contract import contract_candidate
-from .exploration import ExplorationResult, MultiIssueExplorer
 from .manual import ISEEntry, build_manual, expression_of, render_manual
 from .merging import MergedISE, merge_candidates
 from .selection import SelectionResult, select_ises, shared_area
@@ -28,7 +27,6 @@ from .flow import (
 __all__ = [
     "BlockInstance",
     "Cluster",
-    "ExplorationResult",
     "ExplorationState",
     "ExploredApplication",
     "FlowReport",
@@ -40,7 +38,6 @@ __all__ = [
     "build_manual",
     "expression_of",
     "render_manual",
-    "MultiIssueExplorer",
     "ScheduleAnalysis",
     "SelectionResult",
     "VirtualGroup",

@@ -2,7 +2,7 @@
 
 Every exploration round scores its candidate proposals by fixing them
 into the *original* block DFG and list-scheduling the contracted unit
-graph (:meth:`MultiIssueExplorer._evaluate`).  That evaluation is a
+graph (:meth:`ExplorerEngine._evaluate`).  That evaluation is a
 pure function of the DFG, the trial candidate list and the software
 latencies — and converged restarts propose overwhelmingly overlapping
 candidate sets, so the same schedules are rebuilt from scratch over and

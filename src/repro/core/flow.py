@@ -21,8 +21,6 @@ contraction and list scheduling run — and the last three only when the
 block's ordered tuple of selected ISEs has not been scheduled before.
 """
 
-import warnings
-
 from ..config import DEFAULT_CONSTRAINTS, DEFAULT_PARAMS
 from ..errors import ReproError
 from ..graph.dfg import build_dfg
@@ -35,30 +33,11 @@ from ..sched.list_scheduler import list_schedule
 from ..sched.units import contract_dfg
 from .. import engines
 from .merging import is_single_asfu, merge_candidates
-from .parallel import parallel_map, resolve_jobs
+from .parallel import resolve_jobs
 # replace_and_schedule is the one-shot path (CLI gantt, tests); the name
 # stays importable here for the layer tracer in perfbench/layers.py.
 from .replacement import ReplacementPlan, replace_and_schedule  # noqa: F401
 from .selection import select_ises
-
-
-def _explore_block_task(explorer, dfg):
-    """Module-level worker: explore one block DFG (picklable)."""
-    return explorer.explore(dfg)
-
-
-def _default_engine_factory(flow):
-    """Build the flow's engine from the registry (``flow.engine``).
-
-    Module-level (not a lambda) so a flow object with the default
-    factory stays picklable; the engine instance it returns rides into
-    pool workers exactly like the resolved ``batch`` does.
-    """
-    return engines.create(
-        flow.engine, flow.machine, params=flow.params,
-        constraints=flow.constraints, technology=flow.technology,
-        seed=flow.seed, priority=flow.priority, batch=flow.batch,
-        obs=flow.obs)
 
 
 class BlockInstance:
@@ -182,27 +161,10 @@ class FlowReport:
 class ISEDesignFlow:
     """Drives the full flow for one machine configuration."""
 
-    def __init__(self, machine, params=None, constraints=None,
+    def __init__(self, machine, *, params=None, constraints=None,
                  technology=None, seed=0, priority="children",
                  coverage=0.95, max_blocks=8, max_dfg_nodes=220,
-                 explorer_factory=None, jobs=None, batch=None, obs=None,
-                 *, engine="aco"):
-        if isinstance(constraints, int) and not isinstance(constraints,
-                                                           bool):
-            # Legacy positional call pattern ISEDesignFlow(machine,
-            # params, seed[, jobs]) predating the keyword-only facade
-            # (repro.api).  Remap and warn; remove in 2.0.
-            warnings.warn(
-                "positional ISEDesignFlow(machine, params, seed, jobs) is "
-                "deprecated; use keyword arguments or the repro.explore() "
-                "facade", DeprecationWarning, stacklevel=2)
-            legacy_seed = constraints
-            constraints = None
-            if isinstance(technology, int) and not isinstance(technology,
-                                                              bool):
-                jobs = technology
-                technology = None
-            seed = legacy_seed
+                 jobs=None, batch=None, obs=None, engine="aco"):
         self.machine = machine
         self.params = params or DEFAULT_PARAMS
         self.constraints = constraints or DEFAULT_CONSTRAINTS
@@ -226,9 +188,18 @@ class ISEDesignFlow:
         #: construction, not deep inside ``explore_application``.
         engines.describe(engine)
         self.engine = engine
-        if explorer_factory is None:
-            explorer_factory = _default_engine_factory
-        self._explorer_factory = explorer_factory
+
+    def _create_explorer(self):
+        """The flow's engine, built from the registry (``self.engine``).
+
+        The instance rides into pool workers exactly like the resolved
+        ``batch`` does.
+        """
+        return engines.create(
+            self.engine, self.machine, params=self.params,
+            constraints=self.constraints, technology=self.technology,
+            seed=self.seed, priority=self.priority, batch=self.batch,
+            obs=self.obs)
 
     # -- stage 1: profile + lower ------------------------------------------
 
@@ -288,7 +259,7 @@ class ISEDesignFlow:
                           label=instance.label, weight=instance.weight,
                           nodes=len(instance.dfg))
             obs.gauge("flow.hot_blocks", len(hot))
-        explorer = self._explorer_factory(self)
+        explorer = self._create_explorer()
         jobs = resolve_jobs(self.jobs if jobs is None else jobs, obs=obs)
         with obs.timer("flow.explore_blocks"):
             results = self._explore_hot_blocks(explorer, hot, jobs)
@@ -312,25 +283,13 @@ class ISEDesignFlow:
     def _explore_hot_blocks(explorer, hot, jobs):
         """Explore the hot blocks, fanning out when ``jobs`` > 1.
 
-        Explorers that support :meth:`explore_many` get (block, restart)
-        granularity; others are mapped block-by-block.  Either way the
-        profile phase's schedule lengths (``base_cycles``) ride along
-        as cost estimates, so the pool dispatches the longest blocks
-        first and short ones backfill behind them.
+        The profile phase's schedule lengths (``base_cycles``) ride
+        along as cost estimates, so the pool dispatches the longest
+        blocks first and short ones backfill behind them.
         """
         costs = [instance.base_cycles or 0 for instance in hot]
-        explore_many = getattr(explorer, "explore_many", None)
-        if callable(explore_many):
-            try:
-                return explore_many([b.dfg for b in hot], jobs=jobs,
-                                    costs=costs)
-            except TypeError:
-                # Externally-supplied explorer without the costs hook.
-                return explore_many([b.dfg for b in hot], jobs=jobs)
-        return parallel_map(_explore_block_task,
-                            [(explorer, b.dfg) for b in hot], jobs,
-                            obs=getattr(explorer, "obs", None),
-                            costs=costs)
+        return explorer.explore_many([b.dfg for b in hot], jobs=jobs,
+                                     costs=costs)
 
     def _select_hot_blocks(self, blocks):
         eligible = [b for b in blocks

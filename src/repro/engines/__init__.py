@@ -12,11 +12,19 @@ tournaments (:mod:`repro.eval.tournament`) fair.
 Built-in engines (lazily imported on first use):
 
 ``aco``
-    The paper's multi-issue ant-colony search (the default).
+    The paper's multi-issue ant-colony search ("MI", the default).
+``si``
+    Wu et al.'s single-issue ACO [8] ("SI"): ``aco`` on a 1-issue view
+    of the machine with the locality terms off.
+``greedy``
+    Deterministic Clark-style cone growth [6] ("GREEDY").
+``annealing``
+    Simulated annealing over option flips (§2.2's model choice).
+``exact``
+    Exhaustive per-round optimum for blocks of at most
+    ``MAX_EXACT_NODES`` groupable nodes (Pozzi-style oracle [4]).
 ``isegen``
     ISEGEN-style Kernighan-Lin cut growing (Biswas et al.).
-``greedy``
-    Deterministic cone growth promoted from the §5 baselines.
 ``genetic``
     Generational genetic search over hardware subsets.
 
@@ -30,6 +38,15 @@ from .base import (EngineStats, EvalBudget, ExplorationResult,
 register_lazy("aco", "repro.engines.aco", "AcoEngine",
               "multi-issue ant-colony search of the source paper "
               "(critical-path-aware trails/merits, the default)")
+register_lazy("si", "repro.engines.si", "SingleIssueAcoEngine",
+              "single-issue ACO of Wu et al. [8]: the aco engine on a "
+              "1-issue view of the machine, locality terms off")
+register_lazy("annealing", "repro.engines.annealing", "AnnealingEngine",
+              "simulated annealing over per-operation option flips "
+              "(§2.2's model-choice comparator)")
+register_lazy("exact", "repro.engines.exact", "ExactEngine",
+              "exhaustive per-round optimum over legal connected "
+              "subsets (blocks of at most 16 groupable nodes)")
 register_lazy("isegen", "repro.engines.isegen", "IsegenEngine",
               "ISEGEN-style Kernighan-Lin cut growing: toggle-based "
               "iterative improvement with locking and best-prefix "

@@ -21,13 +21,10 @@ each derives its RNG from ``(seed, restart, function, block)`` alone,
 so they can fan out over a process pool (``jobs`` / ``REPRO_JOBS``)
 with results bit-identical to the serial path.
 
-This class *is* the historical ``MultiIssueExplorer`` — the algorithm
-moved here unchanged when the :class:`~repro.engines.base.ExplorerEngine`
-protocol was extracted, and ``repro.core.exploration.MultiIssueExplorer``
-remains as a deprecated alias.  With no :class:`EvalBudget` attached
-the engine behaves bit-identically to every earlier release (the golden
-digests of ``BENCH_sched``/``BENCH_batch``/``BENCH_pool`` pin this); a
-budget only ever *stops* work early, never reorders it.
+With no :class:`EvalBudget` attached the engine behaves bit-identically
+to every earlier release (the golden digests of
+``BENCH_sched``/``BENCH_batch``/``BENCH_pool`` pin this); a budget only
+ever *stops* work early, never reorders it.
 """
 
 import random

@@ -59,7 +59,7 @@ class ExplorationResult:
         #: Per-round convergence traces: list of per-iteration TETs.
         self.traces = [list(t) for t in traces]
         #: Registry name of the engine that produced this result
-        #: (``""`` for results built by older comparator code).
+        #: (``""`` for results built outside an engine).
         self.engine = engine
 
     @property

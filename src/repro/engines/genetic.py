@@ -21,7 +21,7 @@ contract.
 import random
 
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _fringe
+from .greedy import _fringe
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
 from ..core.make_convex import legalize_components

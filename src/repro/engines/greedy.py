@@ -1,27 +1,48 @@
-"""Greedy cone growth as a pluggable engine.
+"""Greedy cone growth as a pluggable engine (Clark-style [6]).
 
-The classic Clark-style baseline promoted from
-:mod:`repro.baselines.greedy` behind the
+The classic deterministic baseline behind the
 :class:`~repro.engines.base.ExplorerEngine` protocol: grow a candidate
 cone from every groupable seed by absorbing the legal neighbour that
 maximises collapsed-chain gain, keep the cone whose fixing improves the
 block's metered list schedule the most, repeat round-wise until nothing
 helps.  Fully deterministic — ``seed`` and ``restarts`` change nothing
-— which makes it the cheapest yard-stick in engine tournaments: any
-stochastic engine burning a real evaluation budget should beat it.
+— which makes it the cheapest yard-stick in engine tournaments and the
+``GREEDY`` column of the chapter-5 tables: any stochastic engine
+burning a real evaluation budget should beat it.
 
-(The original :class:`~repro.baselines.greedy.GreedyExplorer` remains
-for the §5 comparator tables; this engine differs in that it scores
-through the shared metered/cached evaluator and honours
-``max_ise_cycles``.)
+:func:`_fringe` and :func:`_chain` are shared with the ISEGEN and
+genetic engines.
 """
 
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _chain, _fringe
 from ..graph.analysis import is_legal
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
 from .base import ExplorationResult, ExplorerEngine
+
+
+def _fringe(dfg, members):
+    """Operations adjacent to ``members`` but not in it."""
+    fringe = set()
+    for uid in members:
+        fringe.update(dfg.predecessors(uid))
+        fringe.update(dfg.successors(uid))
+    return fringe - set(members)
+
+
+def _chain(dfg, members):
+    """Longest dependence chain inside ``members``, in operations."""
+    longest = {}
+
+    def depth(uid):
+        value = longest.get(uid)
+        if value is None:
+            value = 1 + max((depth(pred) for pred in dfg.predecessors(uid)
+                             if pred in members), default=0)
+            longest[uid] = value
+        return value
+
+    return max((depth(uid) for uid in members), default=0)
 
 
 class GreedyEngine(ExplorerEngine):
@@ -31,7 +52,7 @@ class GreedyEngine(ExplorerEngine):
     description = ("deterministic greedy cone growth around each seed "
                    "node (the classic single-pass baseline)")
 
-    #: Cone size ceiling (matches the §5 baseline).
+    #: Cone size ceiling.
     max_size = 8
 
     def explore(self, dfg, io_tables=None, jobs=None):

@@ -31,7 +31,7 @@ import random
 import networkx as nx
 
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _chain, _fringe
+from .greedy import _chain, _fringe
 from ..graph.analysis import io_counts, is_convex
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate

@@ -23,7 +23,6 @@ import logging
 import os
 import threading
 
-from ..baselines import greedy_explorer_factory, si_explorer_factory
 from ..config import ExplorationParams, ISEConstraints
 from ..core.flow import ISEDesignFlow
 from ..dist.client import remote_cache, remote_counters
@@ -44,7 +43,9 @@ PROFILES = {
                  max_blocks=8),
 }
 
-ALGORITHMS = ("MI", "SI", "GREEDY")
+#: The chapter-5 algorithm columns and the engine each one runs.
+_ENGINE_OF = {"MI": "aco", "SI": "si", "GREEDY": "greedy"}
+ALGORITHMS = tuple(_ENGINE_OF)
 
 
 def default_profile():
@@ -102,16 +103,11 @@ class EvalContext:
         return self._programs[workload_name]
 
     def _flow(self, machine, algorithm):
-        factory = None
-        if algorithm == "SI":
-            factory = si_explorer_factory
-        elif algorithm == "GREEDY":
-            factory = greedy_explorer_factory
-        elif algorithm != "MI":
+        if algorithm not in _ENGINE_OF:
             raise ReproError("unknown algorithm {!r}".format(algorithm))
         return ISEDesignFlow(
             machine, params=self.params, seed=self.seed,
-            max_blocks=self.max_blocks, explorer_factory=factory,
+            max_blocks=self.max_blocks, engine=_ENGINE_OF[algorithm],
             jobs=self.jobs, obs=self.obs)
 
     def _disk_key(self, workload_name, machine, opt_level, algorithm):

@@ -16,10 +16,19 @@ exploration without letting anyone buy extra *new* evaluations.
 :func:`tournament_record` flattens them for JSON persistence — the
 ``BENCH_tourney.json`` artefact of ``benchmarks/test_bench_tourney.py``.
 
+Every block is scored on the race machine by one unmetered probe
+engine: its baseline is the probe's no-ISE evaluation and an engine's
+final is the probe's evaluation of the candidates the engine returned.
+Engines that explore on their own view of the machine (``si`` believes
+in a 1-issue pipeline) are therefore ranked by what their ISEs buy on
+the machine actually raced, not by the cycles they believe in.
+
 A block where an engine's budget dies before even the baseline
-evaluation is scored at the block's (separately computed, unmetered)
-baseline cycles and counted in ``exhausted_blocks`` — the engine found
-nothing there, but the race goes on.
+evaluation is scored at the block's baseline and counted in
+``exhausted_blocks``; a block the engine refuses with
+:class:`~repro.errors.ExplorationError` (``exact`` above its node cap)
+is scored the same way and counted in ``declined_blocks``.  Either way
+the engine found nothing there, but the race goes on.
 """
 
 import time
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .. import engines
 from ..engines import EvalBudget
-from ..errors import BudgetExhausted
+from ..errors import BudgetExhausted, ExplorationError
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,7 @@ class EngineRow:
     wall_s: float
     cache_hit_rate: float
     exhausted_blocks: int     # blocks the budget died on pre-baseline
+    declined_blocks: int      # blocks the engine refused to explore
     blocks: tuple = field(default=(), repr=False)   # per-block detail
 
     @property
@@ -82,47 +92,47 @@ def run_tournament(dfgs, machine, *, budget, names=None, params=None,
     names = list(names) if names is not None else list(engines.available())
     kwargs = dict(params=params, constraints=constraints,
                   technology=technology, seed=seed, batch=batch, obs=obs)
-    baselines = _baseline_cycles(dfgs, machine, **kwargs)
+    probe = engines.create("aco", machine, **kwargs)
+    tables = [probe._default_tables(dfg) for dfg in dfgs]
+    baselines = [probe._evaluate(dfg, [], table)
+                 for dfg, table in zip(dfgs, tables)]
     rows = []
     for name in names:
         engine = engines.create(name, machine, **kwargs)
-        finals = []
-        fixed = 0
-        exhausted = 0
+        found = []            # per block: the candidates, or None
+        exhausted = declined = 0
         spent = 0
-        detail = []
         start = time.perf_counter()
-        for index, dfg in enumerate(dfgs):
+        for dfg in dfgs:
             engine.budget = EvalBudget(budget)
             try:
-                result = engine.explore(dfg, jobs=1)
-                final = result.final_cycles
-                fixed += len(result.candidates)
+                found.append(engine.explore(dfg, jobs=1).candidates)
             except BudgetExhausted:
-                final = baselines[index]
+                found.append(None)
                 exhausted += 1
+            except ExplorationError:
+                found.append(None)
+                declined += 1
             spent += engine.budget.spent
-            finals.append(final)
-            detail.append((dfg.function, dfg.label,
-                           baselines[index], final))
         wall = time.perf_counter() - start
+        finals = [base if candidates is None
+                  else probe._evaluate(dfg, candidates, table)
+                  for dfg, table, base, candidates
+                  in zip(dfgs, tables, baselines, found)]
+        detail = [(dfg.function, dfg.label, base, final)
+                  for dfg, base, final in zip(dfgs, baselines, finals)]
         stats = engine.stats()
         rows.append(EngineRow(
             engine=name, description=engines.describe(name),
             base_cycles=sum(baselines), best_cycles=sum(finals),
-            candidates=fixed, evaluations=spent, budget=budget,
+            candidates=sum(len(c) for c in found if c is not None),
+            evaluations=spent, budget=budget,
             wall_s=wall, cache_hit_rate=stats.cache_hit_rate,
-            exhausted_blocks=exhausted, blocks=tuple(detail)))
+            exhausted_blocks=exhausted, declined_blocks=declined,
+            blocks=tuple(detail)))
     rows.sort(key=lambda row: (-row.saving, row.evaluations, row.engine))
     return TournamentResult(rows=tuple(rows), budget=budget,
                             num_blocks=len(dfgs))
-
-
-def _baseline_cycles(dfgs, machine, **kwargs):
-    """Unmetered no-ISE cycles per block (the common yard-stick)."""
-    probe = engines.create("aco", machine, **kwargs)
-    return [probe._evaluate(dfg, [], probe._default_tables(dfg))
-            for dfg in dfgs]
 
 
 def render_tournament(result):
@@ -130,18 +140,19 @@ def render_tournament(result):
     lines = ["engine tournament: {} block(s), budget {} eval(s)/block"
              .format(result.num_blocks, result.budget)]
     header = ("{:10s} {:>6s} {:>6s} {:>7s} {:>5s} {:>6s} {:>8s} "
-              "{:>9s} {:>5s}").format(
+              "{:>9s} {:>5s} {:>8s}").format(
                   "engine", "base", "best", "saving", "ises", "evals",
-                  "wall_s", "hit_rate", "dry")
+                  "wall_s", "hit_rate", "dry", "declined")
     lines.append(header)
     lines.append("-" * len(header))
     for row in result.rows:
         lines.append(
             "{:10s} {:>6d} {:>6d} {:>7d} {:>5d} {:>6d} {:>8.3f} "
-            "{:>9.3f} {:>5d}".format(
+            "{:>9.3f} {:>5d} {:>8d}".format(
                 row.engine, row.base_cycles, row.best_cycles, row.saving,
                 row.candidates, row.evaluations, row.wall_s,
-                row.cache_hit_rate, row.exhausted_blocks))
+                row.cache_hit_rate, row.exhausted_blocks,
+                row.declined_blocks))
     return "\n".join(lines)
 
 
@@ -161,6 +172,7 @@ def tournament_record(result):
                 "wall_s": round(row.wall_s, 3),
                 "cache_hit_rate": round(row.cache_hit_rate, 3),
                 "exhausted_blocks": row.exhausted_blocks,
+                "declined_blocks": row.declined_blocks,
                 "per_block": [
                     {"block": "{}:{}".format(function, label),
                      "base": base, "final": final}

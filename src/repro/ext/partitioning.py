@@ -240,7 +240,7 @@ def _apply_area_budget(explorer, dfg, tables, exploration, max_area):
     partial block rather than nothing.
     """
     from ..core.candidate import ISECandidate
-    from ..core.exploration import ExplorationResult
+    from ..engines.base import ExplorationResult
     from ..core.make_convex import legalize_components
 
     ranked = sorted(exploration.candidates,

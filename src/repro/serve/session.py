@@ -233,7 +233,7 @@ class ScopeLane:
             prepared.append((fingerprint, waiters, req, bundle, flow,
                              program, blocks, hot))
         flow0 = prepared[0][4]
-        explorer = flow0._explorer_factory(flow0)
+        explorer = flow0._create_explorer()
         jobs = resolve_jobs(flow0.jobs, obs=group_obs)
         all_hot = [b for entry in prepared for b in entry[7]]
         results = ISEDesignFlow._explore_hot_blocks(explorer, all_hot, jobs)

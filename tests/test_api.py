@@ -3,9 +3,9 @@
 The facade contract: ``repro.explore`` / ``repro.evaluate`` are the one
 supported entry point — keyword-only, frozen results, observability via
 ``trace=``/``observer=`` — and they produce *exactly* the numbers the
-engine classes produce when driven by hand.  The old positional
-``ISEDesignFlow(machine, params, seed, jobs)`` form still works but
-warns.
+engine classes produce when driven by hand.  ``ISEDesignFlow`` takes
+every argument after ``machine`` by keyword; the old positional
+``ISEDesignFlow(machine, params, seed, jobs)`` form raises ``TypeError``.
 """
 
 import dataclasses
@@ -122,13 +122,16 @@ class TestEvaluate:
 
 
 class TestLegacyShim:
-    def test_positional_flow_warns_but_works(self):
+    def test_positional_flow_raises(self):
+        # Everything after ``machine`` is keyword-only: the pre-facade
+        # ISEDesignFlow(machine, params, seed, jobs) form fails at once
+        # instead of binding ``seed`` to ``constraints``.
         machine = MachineConfig(2, "4/2")
         params = ExplorationParams(max_iterations=15, restarts=1)
-        with pytest.warns(DeprecationWarning):
-            flow = ISEDesignFlow(machine, params, 5, 2)
-        assert flow.seed == 5
-        assert flow.jobs == 2
+        with pytest.raises(TypeError):
+            ISEDesignFlow(machine, params, 5, 2)
+        with pytest.raises(TypeError):
+            ISEDesignFlow(machine, params)
 
     def test_keyword_flow_does_not_warn(self, recwarn):
         ISEDesignFlow(MachineConfig(2, "4/2"), seed=5, jobs=2)

@@ -1,8 +1,6 @@
-"""Tests for the simulated-annealing comparator."""
+"""Tests for the simulated-annealing comparator engine."""
 
-import pytest
-
-from repro.baselines import AnnealingExplorer
+from repro import engines
 from repro.graph import check_candidate
 from repro.sched import MachineConfig
 
@@ -10,8 +8,8 @@ from conftest import chain_dfg, diamond_dfg, memory_dfg
 
 
 def make_explorer(seed=3, steps=300, **kwargs):
-    return AnnealingExplorer(MachineConfig(2, "4/2"), seed=seed,
-                             steps=steps, **kwargs)
+    return engines.create("annealing", MachineConfig(2, "4/2"), seed=seed,
+                          steps=steps, **kwargs)
 
 
 class TestAnnealing:
@@ -19,6 +17,7 @@ class TestAnnealing:
         result = make_explorer().explore(chain_dfg(8))
         assert result.final_cycles < result.base_cycles
         assert result.candidates
+        assert result.engine == "annealing"
 
     def test_candidates_legal(self):
         dfg = diamond_dfg()

@@ -1,6 +1,6 @@
 """Tests for the pluggable engine protocol (:mod:`repro.engines`).
 
-Four contracts:
+Four contracts, checked on all seven built-in engines:
 
 * **registry** — registration, lazy lookup, error paths (unknown names
   raise :class:`~repro.errors.ReproError` listing the valid set);
@@ -13,6 +13,9 @@ Four contracts:
   hot block end-to-end, returns a well-formed
   :class:`~repro.engines.base.ExplorationResult` stamped with its name,
   and only ever fixes constraint-legal candidates.
+
+``exact`` refuses blocks above its groupable-node cap, so it runs on
+small fuzz blocks (``small_dfgs``) wherever the others run on crc32.
 """
 
 import warnings
@@ -25,13 +28,17 @@ from repro.core.flow import ISEDesignFlow
 from repro.engines import EvalBudget, ExplorerEngine
 from repro.engines.aco import AcoEngine
 from repro.engines.base import EngineStats
-from repro.errors import BudgetExhausted, ConfigError, ReproError
+from repro.errors import (BudgetExhausted, ConfigError,
+                          ExplorationError, ReproError)
+from repro.graph.fuzz import random_dfg
 from repro.ir.passes.pipeline import optimize
 from repro.sched import MachineConfig
 from repro.workloads import get_workload
 
 MACHINE = MachineConfig(2, "4/2")
 FAST = ExplorationParams(max_iterations=12, restarts=2, max_rounds=3)
+ENGINES = ["aco", "si", "isegen", "greedy", "annealing", "exact",
+           "genetic"]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +48,18 @@ def hot_dfgs():
     flow = ISEDesignFlow(MACHINE, seed=3, max_blocks=2)
     blocks = flow.profile_blocks(optimize(program, "O3"), args=args)
     return [b.dfg for b in flow._select_hot_blocks(blocks)]
+
+
+@pytest.fixture(scope="module")
+def small_dfgs():
+    """Fuzz blocks inside ``exact``'s groupable-node cap."""
+    return [random_dfg(seed, n_nodes=12) for seed in (1, 3)]
+
+
+@pytest.fixture
+def blocks(name, hot_dfgs, small_dfgs):
+    """The blocks engine ``name`` is exercised on."""
+    return small_dfgs if name == "exact" else hot_dfgs
 
 
 def _engine(name, **kwargs):
@@ -59,7 +78,7 @@ def _signature(result):
 class TestRegistry:
     def test_builtins_registered(self):
         names = engines.available()
-        assert {"aco", "isegen", "greedy", "genetic"} <= set(names)
+        assert set(ENGINES) <= set(names)
         assert names == tuple(sorted(names))
 
     def test_describe_and_lazy_class(self):
@@ -132,14 +151,13 @@ class TestBudget:
             budget.charge()
         assert budget.denied and budget.spent == 2
 
-    @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+    @pytest.mark.parametrize("name", ENGINES)
     @pytest.mark.parametrize("limit", [1, 5])
-    def test_stopped_engine_spent_exactly_n(self, hot_dfgs, name, limit):
+    def test_stopped_engine_spent_exactly_n(self, blocks, name, limit):
         budget = EvalBudget(limit)
         engine = _engine(name, budget=budget)
         try:
-            engine.explore(hot_dfgs[0])
+            engine.explore(blocks[0])
         except BudgetExhausted:
             pass          # died before the block baseline: still metered
         assert engine.stat_evaluations == budget.spent
@@ -165,18 +183,16 @@ class TestBudget:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
-    def test_same_seed_same_result(self, hot_dfgs, name):
-        first = _engine(name).explore(hot_dfgs[0])
-        second = _engine(name).explore(hot_dfgs[0])
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_same_seed_same_result(self, blocks, name):
+        first = _engine(name).explore(blocks[0])
+        second = _engine(name).explore(blocks[0])
         assert _signature(first) == _signature(second)
 
-    @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
-    def test_serial_matches_pooled(self, hot_dfgs, name):
-        serial = _engine(name).explore_many(hot_dfgs, jobs=1)
-        pooled = _engine(name).explore_many(hot_dfgs, jobs=2)
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_serial_matches_pooled(self, blocks, name):
+        serial = _engine(name).explore_many(blocks, jobs=1)
+        pooled = _engine(name).explore_many(blocks, jobs=2)
         assert [_signature(r) for r in serial] == \
             [_signature(r) for r in pooled]
 
@@ -189,31 +205,30 @@ class TestDeterminism:
 
 
 class TestProtocolConformance:
-    @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
-    def test_explore_contract(self, hot_dfgs, name):
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_explore_contract(self, blocks, name):
         engine = _engine(name)
         assert engine.name == name
         assert engine.description
-        result = engine.explore(hot_dfgs[0])
+        result = engine.explore(blocks[0])
         assert result.engine == name
         assert result.final_cycles <= result.base_cycles
         assert result.cycle_saving == \
             result.base_cycles - result.final_cycles
         for candidate in result.candidates:
             candidate.validate(engine.constraints)
-            assert candidate.members <= set(hot_dfgs[0].nodes)
+            assert candidate.members <= set(blocks[0].nodes)
 
-    @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
-    def test_explore_many_matches_per_block(self, hot_dfgs, name):
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_explore_many_matches_per_block(self, blocks, name):
         engine = _engine(name)
-        many = engine.explore_many(hot_dfgs, jobs=1)
-        singles = [_engine(name).explore(dfg) for dfg in hot_dfgs]
+        many = engine.explore_many(blocks, jobs=1)
+        singles = [_engine(name).explore(dfg) for dfg in blocks]
         assert [_signature(r) for r in many] == \
             [_signature(r) for r in singles]
 
-    @pytest.mark.parametrize("name", ["isegen", "greedy", "genetic"])
+    @pytest.mark.parametrize("name", ["si", "isegen", "greedy",
+                                      "annealing", "genetic"])
     def test_flow_runs_with_engine(self, name):
         program, args = get_workload("bitcount").build()
         flow = ISEDesignFlow(MACHINE, params=FAST, seed=3, max_blocks=1,
@@ -223,24 +238,47 @@ class TestProtocolConformance:
         assert 0.0 <= report.reduction < 1.0
 
 
-class TestDeprecationShim:
-    def test_multi_issue_explorer_warns_and_is_aco(self):
-        from repro.core.exploration import MultiIssueExplorer
-        with pytest.warns(DeprecationWarning, match="AcoEngine"):
-            shim = MultiIssueExplorer(MACHINE, params=FAST, seed=3)
-        assert isinstance(shim, AcoEngine)
-        assert shim.name == "aco"
+    def test_flow_refuses_blocks_above_exact_cap(self):
+        program, args = get_workload("crc32").build()
+        flow = ISEDesignFlow(MACHINE, params=FAST, seed=3, max_blocks=1,
+                             engine="exact")
+        with pytest.raises(ExplorationError, match="groupable nodes"):
+            flow.explore_application(program, args=args, opt_level="O3")
 
-    def test_default_flow_factory_does_not_warn(self):
+
+class _TypeErrorEngine(ExplorerEngine):
+    """Test-only engine whose batch entry point fails with TypeError."""
+
+    name = "typeerror-test"
+    calls = 0
+
+    def explore_many(self, dfgs, jobs=None, costs=None):
+        type(self).calls += 1
+        raise TypeError("raised inside the engine")
+
+
+class TestFlowEngine:
+    def test_default_flow_engine_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             flow = ISEDesignFlow(MACHINE, params=FAST, seed=3)
-            engine = flow._explorer_factory(flow)
+            engine = flow._create_explorer()
         assert not [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]
         assert type(engine) is AcoEngine
 
-    def test_exploration_result_reexported(self):
-        from repro.core.exploration import ExplorationResult
-        from repro.engines.base import ExplorationResult as Canonical
-        assert ExplorationResult is Canonical
+    def test_engine_type_error_propagates_after_one_call(self):
+        # The flow calls explore_many once; an error from inside the
+        # engine is never mistaken for a missing ``costs`` keyword.
+        engines.register("typeerror-test", _TypeErrorEngine)
+        _TypeErrorEngine.calls = 0
+        try:
+            program, args = get_workload("crc32").build()
+            flow = ISEDesignFlow(MACHINE, seed=3, max_blocks=2,
+                                 engine="typeerror-test")
+            with pytest.raises(TypeError, match="inside the engine"):
+                flow.explore_application(program, args=args,
+                                         opt_level="O3")
+        finally:
+            engines.unregister("typeerror-test")
+        assert _TypeErrorEngine.calls == 1

@@ -7,7 +7,6 @@ the system-level invariants the paper's evaluation rests on.
 
 import pytest
 
-from repro.baselines import si_explorer_factory
 from repro.config import ExplorationParams, ISEConstraints
 from repro.core.flow import ISEDesignFlow
 from repro.sched import MachineConfig
@@ -52,8 +51,7 @@ class TestCrossAlgorithm:
     def test_si_factory_in_flow(self):
         program, args = get_workload("dijkstra").build()
         flow = ISEDesignFlow(MachineConfig(2, "4/2"), params=TINY, seed=5,
-                             max_blocks=3,
-                             explorer_factory=si_explorer_factory)
+                             max_blocks=3, engine="si")
         report = flow.run(program, args=args, opt_level="O0",
                           constraints=ISEConstraints(max_ises=2))
         assert report.final_cycles <= report.baseline_cycles

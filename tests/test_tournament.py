@@ -13,6 +13,8 @@ import pytest
 from repro import engines
 from repro.config import ExplorationParams
 from repro.core.flow import ISEDesignFlow
+from repro.engines import EvalBudget
+from repro.engines.exact import MAX_EXACT_NODES
 from repro.errors import ReproError
 from repro.eval.tournament import (EngineRow, TournamentResult,
                                    render_tournament, run_tournament,
@@ -68,6 +70,7 @@ class TestRace:
             assert 0.0 <= row.cache_hit_rate <= 1.0
             assert row.wall_s >= 0.0
             assert 0 <= row.exhausted_blocks <= len(hot_dfgs)
+            assert 0 <= row.declined_blocks <= len(hot_dfgs)
             assert len(row.blocks) == len(hot_dfgs)
             assert sum(base for __, __, base, __ in row.blocks) == \
                 row.base_cycles
@@ -77,6 +80,36 @@ class TestRace:
     def test_common_baseline_across_engines(self, tourney):
         bases = {row.base_cycles for row in tourney.rows}
         assert len(bases) == 1
+
+    def test_finals_rederived_on_race_machine(self, tourney, hot_dfgs):
+        # ``si`` explores on a 1-issue view of the machine; its row
+        # reports what its ISEs buy on the raced 2-issue machine.
+        row = next(row for row in tourney.rows if row.engine == "si")
+        probe = engines.create("aco", MACHINE, params=FAST, seed=3,
+                               batch=1)
+        si = engines.create("si", MACHINE, params=FAST, seed=3, batch=1)
+        believed, rederived = [], []
+        for dfg in hot_dfgs:
+            si.budget = EvalBudget(15)
+            result = si.explore(dfg, jobs=1)
+            believed.append(result.final_cycles)
+            rederived.append(probe._evaluate(
+                dfg, result.candidates, probe._default_tables(dfg)))
+        assert [final for __, __, __, final in row.blocks] == rederived
+        assert rederived != believed
+
+    def test_exact_declines_blocks_above_its_cap(self, tourney, hot_dfgs):
+        row = next(row for row in tourney.rows if row.engine == "exact")
+        too_big = [dfg for dfg in hot_dfgs
+                   if len(dfg.groupable_nodes()) > MAX_EXACT_NODES]
+        assert row.declined_blocks == len(too_big) > 0
+        assert row.exhausted_blocks == 0
+        declined = {(dfg.function, dfg.label) for dfg in too_big}
+        for function, label, base, final in row.blocks:
+            if (function, label) in declined:
+                assert final == base
+        assert all(r.declined_blocks == 0 for r in tourney.rows
+                   if r.engine != "exact")
 
     def test_subset_of_names(self, hot_dfgs):
         result = run_tournament(hot_dfgs[:1], MACHINE, budget=8,
@@ -116,6 +149,7 @@ class TestReporting:
         for entry, row in zip(clone["engines"], tourney.rows):
             assert entry["engine"] == row.engine
             assert entry["saving"] == row.saving
+            assert entry["declined_blocks"] == row.declined_blocks
             assert len(entry["per_block"]) == len(row.blocks)
             assert all(":" in block["block"]
                        for block in entry["per_block"])
