@@ -170,8 +170,8 @@ def explore(workload, *, issue=2, ports="4/2", profile="quick", jobs=None,
         across calls (``REPRO_POOL_PERSIST=0`` opts out).
     batch:
         Ants advanced in lockstep per ACO iteration batch (``None`` →
-        ``$REPRO_ANT_BATCH`` or 16).  ``batch=1`` selects the scalar
-        reference loop — bit-identical to the pre-batching engine;
+        ``$REPRO_ANT_BATCH`` or 16).  ``batch=1`` updates trails and
+        merits after every ant — bit-identical to the pre-batching engine;
         larger sizes are faster but draw a different RNG stream.
     seed:
         RNG seed of the ACO colonies.

@@ -82,9 +82,9 @@ def _add_effort_args(parser):
     parser.add_argument("--batch", default=None, metavar="B",
                         help="ants advanced in lockstep per ACO "
                              "iteration batch (default: $REPRO_ANT_BATCH "
-                             "or 16); 1 selects the scalar reference "
-                             "loop, larger batches are faster but draw "
-                             "a different RNG stream")
+                             "or 16); 1 updates trails and merits "
+                             "after every ant, larger batches are faster "
+                             "but draw a different RNG stream")
     parser.add_argument("--engine", default="aco", metavar="NAME",
                         help="exploration engine (default aco, the "
                              "paper's algorithm; see 'repro engines' "

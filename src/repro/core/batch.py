@@ -13,7 +13,7 @@ ant keeps plain per-block tables:
   list of remaining-predecessor counts that moves slots in and out of
   it as operations are placed;
 * the roulette as one ``rng.random()`` per ant per step (ant-index
-  order — at ``B == 1`` this is exactly the scalar draw stream), a
+  order — at ``B == 1`` one ant's draws in step order), a
   running sum of the ready weights and a ``bisect_left`` for the first
   sum reaching the scaled draw.  Unready slots weigh nothing, and
   adding zeros leaves a float sum unchanged, so the pick is the one a
@@ -32,9 +32,9 @@ The ``stat_*`` tallies feed the ``batch.*`` observability counters:
 
 ``resolve_batch`` mirrors :func:`~repro.core.parallel.resolve_jobs`:
 an explicit ``batch=`` argument wins, then ``REPRO_ANT_BATCH``, then
-the default of 16.  ``REPRO_ANT_BATCH=1`` is the parity escape hatch —
-the explorer then runs the scalar round loop, bit-identical to the
-pre-batching engine.
+the default of 16.  ``REPRO_ANT_BATCH=1`` updates trails and merits
+after every ant, the thesis's loop: it runs the same runner one ant at
+a time and is bit-identical to the pre-batching engine.
 """
 
 import numbers
@@ -60,8 +60,8 @@ def resolve_batch(batch=None, obs=None):
 
     ``None`` falls back to ``REPRO_ANT_BATCH`` (default
     :data:`DEFAULT_BATCH`); ``0`` or ``"auto"`` selects the default
-    explicitly.  ``1`` selects the scalar path — the bit-exact parity
-    escape hatch.  Booleans and non-integer numbers raise the same
+    explicitly.  ``1`` updates after every ant — the pre-batching digest
+    lineage.  Booleans and non-integer numbers raise the same
     :class:`~repro.errors.ConfigError` as an unparsable string.  When
     an enabled ``obs`` observer is passed, the effective size is
     recorded as the ``batch.effective`` gauge.
@@ -100,7 +100,7 @@ def effective_batch(batch, n_nodes):
     throughput.  On tiny DFGs that trade is all cost and no gain: a
     batch saves little set-up there, while the colony's convergence
     leans hard on seeing every ant's update.  Capping the width at half
-    the node count keeps small rounds at (or near) the scalar loop's
+    the node count keeps small rounds at (or near) the per-ant loop's
     learning density and leaves the large, expensive rounds — where
     one weight fetch per batch actually pays — at the full requested
     width.
@@ -117,8 +117,8 @@ class BatchedAntRunner:
     every slot and the cluster-open templates are precomputed once;
     :meth:`run` then performs ``n_nodes`` lockstep steps per batch.
     Construction is exact — at any batch size each ant's schedule is
-    the one the scalar loop would have built from the same per-ant draw
-    stream.
+    the one a one-ant-at-a-time walk would build from the same per-ant
+    draw stream.
     """
 
     def __init__(self, dfg, state, machine, technology, constraints):
@@ -179,8 +179,8 @@ class BatchedAntRunner:
         """Construct ``n_ants`` verified schedules with lockstep draws.
 
         Consumes exactly ``n_ants * n_nodes`` calls of ``rng.random()``
-        in (step, ant) order; at ``n_ants == 1`` this is the scalar
-        loop's draw stream.
+        in (step, ant) order; at ``n_ants == 1`` that is one draw per
+        step.
         """
         n_nodes = len(self._uids)
         schedules = [IterationSchedule(self.dfg, self.machine,

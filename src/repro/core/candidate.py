@@ -9,6 +9,7 @@ every member, and the derived ASFU timing/area.
 from ..graph.analysis import check_candidate, input_values, output_values
 from ..graph.subgraph import pattern_graph
 from ..hwlib.asfu import subgraph_area, subgraph_delay_ns
+from .evalcache import candidate_fingerprint
 
 
 class ISECandidate:
@@ -41,6 +42,27 @@ class ISECandidate:
         # Benefit metadata filled in by the explorer / selection stage.
         self.cycle_saving = 0
         self.weighted_saving = 0.0
+
+    def fingerprint(self):
+        """The candidate's evaluation-cache key part (computed once).
+
+        :func:`~repro.core.evalcache.candidate_fingerprint` of the
+        members and options; a candidate never changes after
+        construction, so the first call's tuple serves every later one.
+        It is left out of pickles, which stay byte-identical.
+        """
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = self._fingerprint = candidate_fingerprint(
+                self.members, self.option_of)
+        return fingerprint
+
+    def __getstate__(self):
+        state = self.__dict__
+        if "_fingerprint" in state:
+            state = dict(state)
+            del state["_fingerprint"]
+        return state
 
     # -- derived ---------------------------------------------------------
 

@@ -149,8 +149,7 @@ class EvalCache:
     def key(self, dfg, candidates, software_cycles):
         """Canonical fingerprint of one ``_evaluate`` call."""
         return (dfg_fingerprint(dfg),
-                tuple(candidate_fingerprint(c.members, c.option_of)
-                      for c in candidates),
+                tuple(c.fingerprint() for c in candidates),
                 software_cycles)
 
     def get(self, key):

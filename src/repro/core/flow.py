@@ -177,7 +177,7 @@ class ISEDesignFlow:
         self.jobs = jobs
         #: Ants per lockstep batch inside each exploration round
         #: (``None`` → ``$REPRO_ANT_BATCH`` → 16); resolved by the
-        #: explorer, ``1`` forces the scalar reference loop.
+        #: explorer, ``1`` updates trails/merits after every ant.
         self.batch = batch
         #: Observability context threaded through the whole flow
         #: (explorer, parallel fan-out, evaluation); the falsy

@@ -46,24 +46,26 @@ def update_merits(dfg, state, schedule, constraints):
 
     # Software merits only ever multiply by the option's own latency, so
     # the whole sweep is one vector operation over the software slots.
+    # The hardware cases then run on one flat list of plain floats (the
+    # same doubles the vector holds), written back once by the
+    # normalisation.
     state.multiply_software_merits()
+    merit = state.merit_values()
+    boost = params.use_critical_path_boost
     for uid in state.hw_uids:
-        hw_options = state.hardware_options(uid)
+        slots = state.hardware_slots(uid)
+        on_critical = analysis.is_critical(uid)
         # Case 1 — critical-path boost (dividing by beta_cp < 1 raises
         # the merit of every hardware option of a critical operation).
-        if (params.use_critical_path_boost and analysis.is_critical(uid)):
-            for option in hw_options:
-                key = (uid, option.label)
-                state.merit[key] /= params.beta_cp
+        if boost and on_critical:
+            for __, slot in slots:
+                merit[slot] /= params.beta_cp
         best = best_of.get(uid)
-        for option in hw_options:
-            key = (uid, option.label)
-            group = groups[(uid, option.label)]
-            state.merit[key] = _hardware_merit(
-                state.merit[key], dfg, analysis, group, best,
-                params, constraints, memo,
-                on_critical=analysis.is_critical(uid))
-    state.normalize_merits()
+        for option, slot in slots:
+            merit[slot] = _hardware_merit(
+                merit[slot], dfg, analysis, groups[(uid, option.label)],
+                best, params, constraints, memo, on_critical=on_critical)
+    state.normalize_merits(merit)
     return analysis
 
 

@@ -22,12 +22,9 @@ update) are vector operations instead of per-key dict writes.  The
 public ``trail`` / ``merit`` attributes remain mapping-like
 (:class:`_VectorMap` views keyed by ``(uid, label)``) so callers and
 tests keep their dict idiom; every write through a view marks the
-operation *dirty*, which drives two caches:
-
-* the **Ready-Matrix weight rows** — Eq. 1 numerators are rebuilt only
-  for operations whose trail/merit changed, not on every draw;
-* the **convergence flags** — :meth:`converged` re-checks only dirty
-  operations against ``P_END``.
+operation *dirty*, so :meth:`converged` re-checks only dirty operations
+against ``P_END``.  The Eq. 1 weights of every slot come as one vector
+per batch (:meth:`cp_weights_batch`).
 
 All vector arithmetic is elementwise and mirrors the scalar expression
 order of the original dict implementation, so results are bit-identical
@@ -77,8 +74,8 @@ class _VectorMap:
 
     Behaves like the dict it replaces — ``state.trail[(uid, label)]``
     reads and writes the backing array — while funnelling every
-    mutation through :meth:`ExplorationState._touch` so the dependent
-    caches (weight rows, convergence flags) stay coherent.
+    mutation through :meth:`ExplorationState._touch` so the convergence
+    flags stay coherent.
     """
 
     __slots__ = ("_state", "_vec")
@@ -139,7 +136,6 @@ class ExplorationState:
         self._flat_index = {}         # (uid, label) -> flat slot
         self._option_map = {}         # (uid, label) -> option
         self._span = {}               # uid -> (offset, stop)
-        self._pairs_of = {}           # uid -> [((uid, option)), ...]
         trail_init = []
         merit_init = []
         sw_slots = []
@@ -149,13 +145,11 @@ class ExplorationState:
             opts = tuple(table)
             self.options[uid] = opts
             offset = len(self._flat_keys)
-            pairs = []
             for option in opts:
                 key = (uid, option.label)
                 self._flat_index[key] = len(self._flat_keys)
                 self._flat_keys.append(key)
                 self._option_map[key] = option
-                pairs.append((uid, option))
                 trail_init.append(params.initial_trail)
                 if option.is_hardware:
                     merit_init.append(params.initial_merit_hardware)
@@ -164,7 +158,6 @@ class ExplorationState:
                     sw_slots.append(len(self._flat_keys) - 1)
                     sw_cycles.append(float(option.cycles))
             self._span[uid] = (offset, len(self._flat_keys))
-            self._pairs_of[uid] = pairs
         # Hardware-option views are requested every iteration by the
         # merit sweep and the grouping pass; the option tables are
         # frozen for the round, so build the per-uid lists once.
@@ -174,6 +167,9 @@ class ExplorationState:
         #: Uids owning at least one hardware option, in node order.
         self.hw_uids = tuple(uid for uid in self._uids
                              if self._hw_options[uid])
+        self._hw_slots = {uid: [(opt, self._flat_index[(uid, opt.label)])
+                                for opt in self._hw_options[uid]]
+                          for uid in self.hw_uids}
         self._trail_vec = np.array(trail_init, dtype=np.float64)
         self._merit_vec = np.array(merit_init, dtype=np.float64)
         self._sw_slots = np.array(sw_slots, dtype=np.intp)
@@ -197,23 +193,19 @@ class ExplorationState:
         self._sp_vec = np.array(
             [self.sp_term.get(uid, 0.0) for uid, __ in self._flat_keys],
             dtype=np.float64)
-        # Caches driven by the dirty set: Eq. 1 weight rows per uid and
-        # the per-uid best selected probability of the Eq. 3 test.
-        self._weight_rows = {}
-        self._weight_dirty = set(self._uids)
+        # Cache driven by the dirty set: the per-uid best selected
+        # probability of the Eq. 3 test.
         self._best_sp = {}
         self._conv_dirty = set(self._uids)
 
     # -- cache invalidation -------------------------------------------------
 
     def _touch(self, uid):
-        """Mark one operation's derived caches stale."""
-        self._weight_dirty.add(uid)
+        """Mark one operation's convergence flag stale."""
         self._conv_dirty.add(uid)
 
     def _touch_all(self):
-        """Mark every operation's derived caches stale (bulk updates)."""
-        self._weight_dirty.update(self._uids)
+        """Mark every operation's convergence flag stale (bulk updates)."""
         self._conv_dirty.update(self._uids)
 
     # -- access -----------------------------------------------------------
@@ -230,36 +222,28 @@ class ExplorationState:
         """The hardware options of operation ``uid``."""
         return self._hw_options[uid]
 
+    def hardware_slots(self, uid):
+        """``(option, flat slot)`` of every hardware option of ``uid``."""
+        return self._hw_slots[uid]
+
+    def merit_values(self):
+        """The merit vector as a plain list of floats, in slot order."""
+        return self._merit_vec.tolist()
+
     def keys_of(self, uid):
         """The (uid, label) merit/trail keys of operation ``uid``."""
         return [(uid, option.label) for option in self.options[uid]]
 
     # -- Eq. 1: chosen probability over the Ready-Matrix -------------------
 
-    def cp_weights(self, ready_uids):
-        """Unnormalised cp numerators of every ready (op, option) pair.
-
-        Returns a list of ``((uid, option), weight)``.  Weights are
-        clipped to a tiny positive floor so the roulette wheel is always
-        well defined (Eq. 1 divides by their sum).  Rows come from the
-        incremental Ready-Matrix cache: they are rebuilt only for
-        operations whose trail or merit changed since the last draw.
-        """
-        rows = self._cp_rows()
-        entries = []
-        for uid in ready_uids:
-            entries.extend(rows[uid])
-        return entries
-
     def cp_weights_batch(self):
         """Eq. 1 weight vector over every flat (op, option) slot.
 
-        One vectorised pass over the flat trail/merit/SP arrays — the
-        exact expression :meth:`cp_weights` evaluates per row, so the
-        returned doubles are bit-identical to the scalar entries.  The
-        state only changes *between* iterations, so one call serves
-        every ant of a lockstep batch
-        (:class:`~repro.core.batch.BatchedAntRunner`).
+        ``alpha·trail + (1-alpha)·merit + lambda·SP`` per slot, clipped
+        to a tiny positive floor so the roulette wheel is always well
+        defined (Eq. 1 divides by their sum).  The state only changes
+        *between* iterations, so one call serves every ant of a
+        lockstep batch (:class:`~repro.core.batch.BatchedAntRunner`).
         """
         self.stats["weight_rebuilds"] += 1    # one full-vector rebuild
         params = self.params
@@ -278,23 +262,6 @@ class ExplorationState:
         """
         return [(uid, self._option_map[(uid, label)])
                 for uid, label in self._flat_keys]
-
-    def _cp_rows(self):
-        """Per-uid Eq. 1 weight rows, refreshed for dirty uids only."""
-        if self._weight_dirty:
-            self.stats["weight_rebuilds"] += len(self._weight_dirty)
-            params = self.params
-            weights = (params.alpha * self._trail_vec
-                       + (1.0 - params.alpha) * self._merit_vec
-                       + params.lam * self._sp_vec)
-            np.maximum(weights, _WEIGHT_FLOOR, out=weights)
-            flat = weights.tolist()
-            for uid in self._weight_dirty:
-                offset, stop = self._span[uid]
-                self._weight_rows[uid] = list(
-                    zip(self._pairs_of[uid], flat[offset:stop]))
-            self._weight_dirty.clear()
-        return self._weight_rows
 
     # -- Eq. 3: selected probability per operation ---------------------------
 
@@ -412,13 +379,15 @@ class ExplorationState:
         np.maximum(self._trail_vec, 0.0, out=self._trail_vec)
         self._touch_all()
 
-    def normalize_merits(self):
+    def normalize_merits(self, flat=None):
         """Rescale each operation's merit vector to the configured scale.
 
         §4.3: "the merit values of operation must be normalized after
         performing merit computation" so that picking among ready
         operations stays fair.  Each operation's merits are scaled to
         sum to ``merit_scale × #options`` with a floor per option.
+        ``flat`` is an updated :meth:`merit_values` list to normalise
+        and store in place of the current vector.
         """
         params = self.params
         scale = params.merit_scale
@@ -427,7 +396,8 @@ class ExplorationState:
         # One flat pass in plain floats (same IEEE doubles as the numpy
         # ops it replaces) and a single bulk write-back: per-segment
         # numpy slicing dominated this per-iteration sweep.
-        flat = merit.tolist()
+        if flat is None:
+            flat = merit.tolist()
         for offset, stop in self._span.values():
             total = 0.0
             for value in flat[offset:stop]:

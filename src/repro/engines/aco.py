@@ -28,17 +28,13 @@ ever *stops* work early, never reorders it.
 """
 
 import random
-from bisect import bisect_left, insort
 from time import perf_counter
 
-import numpy as np
-
-from ..errors import BudgetExhausted, ExplorationError
+from ..errors import BudgetExhausted
 from ..obs import ensure_observer  # noqa: F401  (re-export stability)
 from ..core.batch import BatchedAntRunner, effective_batch, resolve_batch
 from ..core.candidate import ISECandidate
 from ..core.contract import contract_candidate
-from ..core.iteration import IterationSchedule
 from ..core.make_convex import legalize_components
 from ..core.merit import update_merits
 from ..core.parallel import parallel_map, resolve_jobs
@@ -68,12 +64,12 @@ class AcoEngine(ExplorerEngine):
                          seed=seed, priority=priority, jobs=jobs, obs=obs,
                          budget=budget)
         #: Ants advanced in lockstep per iteration batch (``None`` →
-        #: ``$REPRO_ANT_BATCH`` or 16).  ``1`` selects the scalar round
-        #: loop — the bit-exact parity escape hatch; larger sizes draw
-        #: in (step, ant) order and fold one trail/merit update over
-        #: each batch, so their RNG stream (and golden digest) differs
-        #: from the scalar path's.  Resolved once here so pool workers
-        #: unpickle a fixed integer.
+        #: ``$REPRO_ANT_BATCH`` or 16).  ``1`` updates trails and merits
+        #: after every ant — the thesis's loop and the pre-batching
+        #: digest lineage; larger sizes draw in (step, ant) order and
+        #: fold one trail/merit update over each batch, so their RNG
+        #: stream (and golden digest) differs from width 1's.  Resolved
+        #: once here so pool workers unpickle a fixed integer.
         self.batch = resolve_batch(batch, obs=self.obs)
 
     # -- public API -------------------------------------------------------
@@ -266,8 +262,9 @@ class AcoEngine(ExplorerEngine):
 
     def _run_round(self, dfg, io_tables, rng, tag=("", "", 0),
                    round_index=0):
-        """One round: scalar loop, or lockstep batches when
-        ``self.batch`` > 1 (see :meth:`_run_round_batched`)."""
+        """One round: lockstep batches of ``self.batch`` ants, capped by
+        :func:`~repro.core.batch.effective_batch` (see
+        :meth:`_run_lockstep`)."""
         obs = self.obs
         function, label, restart = tag
         state = ExplorationState(dfg, io_tables, self.params,
@@ -279,78 +276,22 @@ class AcoEngine(ExplorerEngine):
                           iterations=0, converged=False, proposals=0,
                           tet_best=None)
             return _RoundResult([], 0)
-        batch = effective_batch(self.batch, len(dfg.nodes))
-        if batch > 1:
-            return self._run_round_batched(dfg, state, rng, batch,
-                                           tag=tag, round_index=round_index)
-        return self._run_round_scalar(dfg, state, rng, tag=tag,
-                                      round_index=round_index)
+        return self._run_lockstep(
+            dfg, state, rng, effective_batch(self.batch, len(dfg.nodes)),
+            tag=tag, round_index=round_index)
 
-    def _run_round_scalar(self, dfg, state, rng, tag=("", "", 0),
-                          round_index=0):
-        """The reference one-ant-at-a-time loop (``batch=1``)."""
-        obs = self.obs
-        function, label, restart = tag
-        tet_old = None
-        prev_order = {}
-        best_schedule = None
-        best_key = None
-        iterations = 0
-        trace = []
-        for _ in range(self.params.max_iterations):
-            if obs:
-                mark = perf_counter()
-            schedule = self._run_iteration(dfg, state, rng)
-            if obs:
-                mark = obs.lap("round.construct", mark)
-            iterations += 1
-            trace.append(schedule.makespan)
-            tet_old = update_trails(state, schedule, prev_order, tet_old)
-            prev_order = dict(schedule.order)
-            if obs:
-                mark = obs.lap("round.trail", mark)
-            update_merits(dfg, state, schedule, self.constraints)
-            if obs:
-                obs.lap("round.merit", mark)
-            key = _schedule_key(schedule)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_schedule = schedule
-            converged = state.converged()
-            if obs:
-                obs.event("iteration", function=function, label=label,
-                          restart=restart, round=round_index,
-                          iteration=iterations - 1,
-                          tet=schedule.makespan,
-                          min_sp=state.convergence_floor(),
-                          clusters=len(schedule.clusters))
-                obs.count("iter.cluster_opens", schedule.stat_cluster_opens)
-                obs.count("iter.cluster_joins", schedule.stat_cluster_joins)
-                obs.count("iter.join_rejects", schedule.stat_join_rejects)
-                obs.count("sched.first_fit_scans",
-                          schedule.table.stat_first_fit_scans)
-                obs.count("sched.scan_cycles",
-                          schedule.table.stat_scan_cycles)
-            if converged:
-                break
-        proposals = self._collect_proposals(dfg, state, best_schedule)
-        self._emit_round_obs(state, tag, round_index, iterations,
-                             proposals, trace)
-        return _RoundResult(proposals, iterations, trace)
+    def _run_lockstep(self, dfg, state, rng, batch, tag=("", "", 0),
+                      round_index=0):
+        """The round loop: ``batch`` ants per trail update.
 
-    def _run_round_batched(self, dfg, state, rng, batch,
-                           tag=("", "", 0), round_index=0):
-        """Lockstep-batched round: ``batch`` ants per trail update.
-
-        Every batch draws against the same frozen trail/merit state
-        (exactly what the scalar loop sees *within* one iteration) via
+        Every batch draws against the same frozen trail/merit state via
         the lockstep :class:`~repro.core.batch.BatchedAntRunner`;
         afterwards one Fig. 4.3.5 trail update and one merit sweep are
         folded over the batch, driven by the batch's best schedule
-        (iteration-best update — the batched counterpart of the scalar
-        per-ant update, with a ``batch``-fold cheaper maintenance
-        cost).  Each ant still counts as one iteration in traces,
-        budgets and observability events.
+        (iteration-best update).  At ``batch == 1`` this is the thesis's
+        per-ant loop: one ant, then its trail and merit updates.  Each
+        ant counts as one iteration in traces, budgets and
+        observability events.
         """
         obs = self.obs
         function, label, restart = tag
@@ -411,7 +352,9 @@ class AcoEngine(ExplorerEngine):
                     obs.count("sched.scan_cycles",
                               schedule.table.stat_scan_cycles)
         proposals = self._collect_proposals(dfg, state, best_schedule)
-        if obs:
+        if obs and batch > 1:
+            # The batch.* counters describe lockstep batching; a width-1
+            # round is the per-ant loop and leaves them out.
             obs.count("batch.ants_batched", runner.stat_ants_batched)
             obs.count("batch.scalar_fallbacks",
                       runner.stat_scalar_fallbacks)
@@ -512,37 +455,6 @@ class AcoEngine(ExplorerEngine):
             options[uid] = option
         return options
 
-    # -- one iteration: Ready-Matrix driven construction ----------------------------
-
-    def _run_iteration(self, dfg, state, rng):
-        schedule = IterationSchedule(
-            dfg, self.machine, self.technology, self.constraints)
-        remaining_preds = {uid: len(dfg.predecessors(uid))
-                           for uid in dfg.nodes}
-        # The Ready-Matrix draw wants the ready set in uid order every
-        # step; keep it as a sorted list (bisect insertion) instead of
-        # re-sorting a set per draw.
-        ready = sorted(uid for uid, count in remaining_preds.items()
-                       if count == 0)
-        remaining = len(remaining_preds)
-        while remaining:
-            if not ready:
-                raise ExplorationError("ready set empty with work remaining")
-            entries = state.cp_weights(ready)
-            (uid, option) = _roulette(entries, rng)
-            if option.is_hardware:
-                schedule.schedule_hardware(uid, option)
-            else:
-                schedule.schedule_software(uid, option)
-            del ready[bisect_left(ready, uid)]
-            remaining -= 1
-            for succ in dfg.successors(uid):
-                remaining_preds[succ] -= 1
-                if remaining_preds[succ] == 0:
-                    insort(ready, succ)
-        return schedule.verify()
-
-
 class _RoundResult:
     __slots__ = ("candidates", "iterations", "trace")
 
@@ -559,29 +471,3 @@ def _schedule_key(schedule):
             sum(opt.area
                 for c in schedule.clusters
                 for opt in c.option_of.values()))
-
-
-def _roulette(entries, rng):
-    """Draw one entry proportionally to its weight.
-
-    The accumulate-and-compare loop is a ``np.cumsum`` plus a
-    ``searchsorted`` for the first cumulative weight reaching the
-    scaled draw — the additions happen in the same order as the old
-    Python loop, so the chosen entry is bit-identical.
-
-    Degenerate case: when the weights sum to zero (all-zero rows, or a
-    sum that underflowed), every entry is equally (un)weighted, so the
-    draw falls back to a *uniform* pick instead of collapsing onto the
-    first entry.  Exactly one ``rng.random()`` is consumed on every
-    path, so the fallback never shifts the RNG stream of later draws.
-    """
-    cum = np.cumsum(np.fromiter((weight for __, weight in entries),
-                                dtype=np.float64, count=len(entries)))
-    total = cum[-1]
-    draw = rng.random()
-    if total <= 0.0:
-        return entries[min(int(draw * len(entries)), len(entries) - 1)][0]
-    index = int(np.searchsorted(cum, draw * total))
-    if index >= len(entries):
-        index = len(entries) - 1          # floating-point overshoot
-    return entries[index][0]

@@ -40,7 +40,7 @@ from ..hwlib.options import default_io_table
 from ..hwlib.technology import DEFAULT_TECHNOLOGY
 from ..obs import ensure_observer
 from ..sched.list_scheduler import list_schedule
-from ..sched.units import contract_dfg
+from ..sched.units import block_skeleton, contract_dfg
 from ..core.evalcache import EvalCache, eval_scope, evalcache_enabled
 from ..core.parallel import parallel_map, resolve_jobs
 
@@ -316,15 +316,13 @@ class ExplorerEngine:
         happens, so a stopped engine performed exactly ``budget.spent``
         real evaluations.
         """
-        software_cycles = None
+        software_cycles = latencies = None
         if io_tables is not None:
-            software_cycles = {uid: io_tables[uid].software[0].cycles
-                               for uid in dfg.nodes if uid in io_tables}
+            software_cycles, latencies = block_skeleton(dfg).latencies(
+                io_tables)
         cache = self._evalcache
         key = None
         if cache is not None:
-            latencies = (None if software_cycles is None
-                         else tuple(sorted(software_cycles.items())))
             key = cache.key(dfg, candidates, latencies)
             cached = cache.get(key)
             if cached is not None:

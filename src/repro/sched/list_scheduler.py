@@ -17,7 +17,7 @@ first see them.
 from ..errors import SchedulingError
 from .priorities import get_priority
 from .resources import ReservationTable
-from .units import topological_order
+from .units import UnitGraph, topological_order
 
 
 class Schedule:
@@ -37,7 +37,9 @@ class Schedule:
         """Total execution cycles of the block body."""
         if not self.start:
             return 0
-        return max(self.finish(uid) for uid in self.start)
+        units = self.units
+        return max(cycle + units[uid].latency
+                   for uid, cycle in self.start.items())
 
     def at_cycle(self, cycle):
         """Units issued in a given cycle (sorted for stable output)."""
@@ -46,13 +48,19 @@ class Schedule:
 
     def verify(self, machine):
         """Re-check dependences and resources; raise on violation."""
+        start = self.start
+        units = self.units
+        finish = {uid: cycle + units[uid].latency
+                  for uid, cycle in start.items()}
         for src, dst in self.graph.edges:
-            if self.start[dst] < self.finish(src):
+            if start[dst] < finish[src]:
                 raise SchedulingError(
                     "dependence {} -> {} violated".format(src, dst))
-        table = ReservationTable(machine)
-        for uid, cycle in self.start.items():
-            table.place(cycle, self.units[uid].needs)
+        if not _fits_machine(start, units, machine):
+            # Replay into a reservation table for the precise error.
+            table = ReservationTable(machine)
+            for uid, cycle in start.items():
+                table.place(cycle, units[uid].needs)
         return self
 
     def pretty(self):
@@ -67,6 +75,39 @@ class Schedule:
     def __repr__(self):
         return "Schedule({} units, {} cycles)".format(
             len(self.start), self.makespan)
+
+
+def _fits_machine(start, units, machine):
+    """True when every cycle's summed demand is within the budgets.
+
+    Demands are non-negative, so this equals placing the units one by
+    one into a :class:`ReservationTable` without any refusal.
+    """
+    if not start:
+        return True
+    if min(start.values()) < 0:
+        return False
+    span = max(start.values()) + 1
+    issue = [0] * span
+    reads = [0] * span
+    writes = [0] * span
+    fus = {}
+    for uid, cycle in start.items():
+        needs = units[uid].needs
+        issue[cycle] += needs.issue
+        reads[cycle] += needs.reads
+        writes[cycle] += needs.writes
+        row = fus.get(needs.fu_kind)
+        if row is None:
+            row = fus[needs.fu_kind] = [0] * span
+        row[cycle] += needs.fu_count
+    rf = machine.register_file
+    if (max(issue) > machine.issue_width or max(reads) > rf.read_ports
+            or max(writes) > rf.write_ports):
+        return False
+    fu_avail = machine.fu_counts
+    return all(max(row) <= fu_avail.get(kind, 0)
+               for kind, row in fus.items())
 
 
 def list_schedule(graph, units, machine, priority="children"):
@@ -91,25 +132,39 @@ def list_schedule(graph, units, machine, priority="children"):
     """
     if topological_order(graph) is None:
         raise SchedulingError("unit graph contains a cycle")
-    if isinstance(priority, str):
-        latency_of = lambda uid: units[uid].latency
-        priorities = get_priority(priority)(graph, latency_of)
+    if priority == "children" and isinstance(graph, UnitGraph):
+        ranked = graph.children_ranked()
     else:
-        priorities = dict(priority)
+        if isinstance(priority, str):
+            latency_of = lambda uid: units[uid].latency
+            priorities = get_priority(priority)(graph, latency_of)
+        else:
+            priorities = dict(priority)
+        ranked = sorted(graph.nodes,
+                        key=lambda uid: (-priorities.get(uid, 0), str(uid)))
     # Rank every unit once by its sort key; the pending list holds the
     # ranks of pred-free, unplaced units in ascending (priority) order.
-    ranked = sorted(graph.nodes,
-                    key=lambda uid: (-priorities.get(uid, 0), str(uid)))
     rank_of = {uid: rank for rank, uid in enumerate(ranked)}
+    successors = graph.successors
     remaining_preds = {uid: graph.in_degree(uid) for uid in ranked}
     ready_at = dict.fromkeys(ranked, 0)
     pending = [rank for rank, uid in enumerate(ranked)
                if not remaining_preds[uid]]
     start = {}
-    table = ReservationTable(machine)
+    # Units only ever issue in the current cycle, so its usage is four
+    # plain counters; the full reservation table re-checks it in verify.
+    width = machine.issue_width
+    read_ports = machine.register_file.read_ports
+    write_ports = machine.register_file.write_ports
+    fu_avail = machine.fu_counts
     cycle = 0
     left = len(ranked)
-    total_latency = sum(unit.latency for unit in units.values())
+    total_latency = 0
+    all_issue = True
+    for unit in units.values():
+        total_latency += unit.latency
+        if unit.needs.issue <= 0:
+            all_issue = False
     horizon = total_latency + len(units) + 64
     while left:
         if cycle > horizon:
@@ -118,21 +173,40 @@ def list_schedule(graph, units, machine, priority="children"):
                 "demand cannot ever be satisfied")
         waiting = []
         freed = []
-        for rank in pending:
+        issue = reads = writes = 0
+        fu_used = {}
+        for position, rank in enumerate(pending):
             uid = ranked[rank]
-            unit = units[uid]
-            if ready_at[uid] > cycle or not table.try_place(cycle, unit.needs):
+            if ready_at[uid] > cycle:
                 waiting.append(rank)
                 continue
+            unit = units[uid]
+            needs = unit.needs
+            kind = needs.fu_kind
+            used = fu_used.get(kind, 0) + needs.fu_count
+            if (issue + needs.issue > width
+                    or reads + needs.reads > read_ports
+                    or writes + needs.writes > write_ports
+                    or used > fu_avail.get(kind, 0)):
+                waiting.append(rank)
+                continue
+            issue += needs.issue
+            reads += needs.reads
+            writes += needs.writes
+            fu_used[kind] = used
             start[uid] = cycle
             left -= 1
             finish = cycle + unit.latency
-            for succ in graph.successors(uid):
+            for succ in successors(uid):
                 remaining_preds[succ] -= 1
                 if ready_at[succ] < finish:
                     ready_at[succ] = finish
                 if not remaining_preds[succ]:
                     freed.append(rank_of[succ])
+            if all_issue and issue >= width:
+                # Every slot of the cycle is taken: nothing else issues.
+                waiting.extend(pending[position + 1:])
+                break
         if freed:
             waiting.extend(freed)
             waiting.sort()

@@ -62,9 +62,13 @@ def software_needs(operation):
 class BlockSkeleton:
     """The contraction-invariant scheduling view of one DFG.
 
-    ``nodes`` (sorted uids), ``edges`` (``(src, dst)`` pairs in graph
-    order) and ``needs`` (uid → software :class:`Needs`) never change
-    while the DFG does not.  ``ise_geometry`` memoises
+    ``nodes`` (sorted uids) and ``needs`` (uid → software
+    :class:`Needs`) never change while the DFG does not.
+    ``succ``/``pred`` are the software-only adjacency (uid → neighbour
+    tuple in the order of the DFG's edge pairs): a contraction
+    rebuilds only the units whose edges touch an ISE member and shares
+    every other tuple, and the software units and their "children"
+    rank keys are likewise built once.  ``ise_geometry`` memoises
     ``(latency, |IN|, |OUT|, area)`` of ISE groups, keyed on the members
     and their options in the members' iteration order plus the
     technology: the area is a float sum in that order, so only an
@@ -72,14 +76,33 @@ class BlockSkeleton:
     holds :data:`ISE_MEMO_CAP` entries.
     """
 
-    __slots__ = ("nodes", "edges", "needs", "ise_geometry", "_outputs")
+    __slots__ = ("nodes", "needs", "ise_geometry", "_outputs",
+                 "succ", "pred", "_out_edges", "_in_edges", "_rank_entries",
+                 "_graph", "_latencies", "_units")
 
     def __init__(self, dfg):
-        self.nodes = tuple(dfg.nodes)
-        self.edges = dfg.edge_pairs()
-        self.needs = {uid: software_needs(dfg.op(uid)) for uid in self.nodes}
+        self.nodes = nodes = tuple(dfg.nodes)
+        self.needs = {uid: software_needs(dfg.op(uid)) for uid in nodes}
         self.ise_geometry = {}
         self._outputs = frozenset(dfg.output_nodes)
+        out_edges = {uid: [] for uid in nodes}
+        in_edges = {uid: [] for uid in nodes}
+        for index, (src, dst) in enumerate(dfg.edge_pairs()):
+            out_edges[src].append((index, dst))
+            in_edges[dst].append((index, src))
+        self._out_edges = {uid: tuple(e) for uid, e in out_edges.items()}
+        self._in_edges = {uid: tuple(e) for uid, e in in_edges.items()}
+        self.succ = {uid: tuple(dst for __, dst in e)
+                     for uid, e in self._out_edges.items()}
+        self.pred = {uid: tuple(src for __, src in e)
+                     for uid, e in self._in_edges.items()}
+        #: ``(-children, str(uid), uid)`` of every software unit, sorted:
+        #: the list scheduler's default rank order of the bare block.
+        self._rank_entries = sorted(
+            (-len(self.succ[uid]), str(uid), uid) for uid in nodes)
+        self._graph = None            # UnitGraph of the bare block
+        self._latencies = None        # (io_tables, cycles, cache key)
+        self._units = (None, None)    # (software_cycles, software units)
 
     def geometry(self, dfg, members, option_of, technology):
         """``(latency, |IN|, |OUT|, area)`` of one ISE group (memoised)."""
@@ -96,6 +119,100 @@ class BlockSkeleton:
                 memo.clear()
             memo[key] = found
         return found
+
+    def latencies(self, io_tables):
+        """``(uid → software cycles, cache key)`` under ``io_tables``.
+
+        Built once per tables object: a block's io tables stay frozen
+        while it is explored, so repeated scoring calls share one map
+        (the key is its sorted item tuple, as the evaluation cache
+        expects).
+        """
+        memo = self._latencies
+        if memo is None or memo[0] is not io_tables:
+            cycles = {uid: io_tables[uid].software[0].cycles
+                      for uid in self.nodes if uid in io_tables}
+            memo = self._latencies = (io_tables, cycles,
+                                      tuple(sorted(cycles.items())))
+        return memo[1], memo[2]
+
+    def software_units(self, software_cycles):
+        """uid → :class:`SchedUnit` of every node run in software.
+
+        Built once per latency map object (``None`` means one cycle
+        each); units are never mutated, so contractions share them.
+        """
+        cycles, units = self._units
+        if units is None or cycles is not software_cycles:
+            needs = self.needs
+            units = {}
+            for node in self.nodes:
+                latency = 1
+                if software_cycles is not None:
+                    latency = software_cycles.get(node, 1)
+                units[node] = SchedUnit(node, latency, needs[node], (node,))
+            self._units = (software_cycles, units)
+        return units
+
+    def bare_graph(self):
+        """The :class:`UnitGraph` of the block with no ISE contracted."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = UnitGraph(
+                dict(self.succ), dict(self.pred),
+                [uid for __, __, uid in self._rank_entries])
+        return graph
+
+    def contract(self, unit_of, ise_units):
+        """The :class:`UnitGraph` with ``ise_units`` contracted.
+
+        ``unit_of`` maps every ISE member to its unit uid.  Only ISE
+        units and the software units next to a member get fresh
+        neighbour tuples; every neighbour list keeps the order of the
+        edges that produced it.
+        """
+        out_edges = self._out_edges
+        in_edges = self._in_edges
+        succ = {}
+        pred = {}
+        touched = set()
+        for uid, unit in ise_units.items():
+            out = []
+            inc = []
+            for member in unit.members:
+                for edge in out_edges[member]:
+                    if unit_of.get(edge[1]) != uid:
+                        out.append(edge)
+                for edge in in_edges[member]:
+                    if unit_of.get(edge[1]) != uid:
+                        inc.append(edge)
+            out.sort()
+            inc.sort()
+            succ[uid] = tuple(dict.fromkeys(
+                [unit_of.get(node, node) for __, node in out]))
+            pred[uid] = tuple(dict.fromkeys(
+                [unit_of.get(node, node) for __, node in inc]))
+            touched.update(node for __, node in out if node not in unit_of)
+            touched.update(node for __, node in inc if node not in unit_of)
+        sw_succ = self.succ
+        sw_pred = self.pred
+        for node in self.nodes:
+            if node in unit_of:
+                continue
+            if node in touched:
+                succ[node] = tuple(dict.fromkeys(
+                    [unit_of.get(n, n) for n in sw_succ[node]]))
+                pred[node] = tuple(dict.fromkeys(
+                    [unit_of.get(n, n) for n in sw_pred[node]]))
+            else:
+                succ[node] = sw_succ[node]
+                pred[node] = sw_pred[node]
+        entries = [entry for entry in self._rank_entries
+                   if entry[2] not in unit_of and entry[2] not in touched]
+        entries.extend((-len(succ[uid]), str(uid), uid)
+                       for uid in (*ise_units, *touched))
+        entries.sort()
+        return UnitGraph(succ, pred, [uid for __, __, uid in entries])
 
 
 def block_skeleton(dfg):
@@ -119,14 +236,17 @@ class UnitGraph:
     them.  Exposes the DiGraph subset the scheduler, the SP functions
     and the schedule renderers use.  ``topo_order`` is one Kahn order of
     the units, or ``None`` when the graph has a cycle.
+    ``children_ranked`` lists the units by the list scheduler's default
+    key, ``(-children, str(uid))``.
     """
 
-    __slots__ = ("_succ", "_pred", "topo_order")
+    __slots__ = ("_succ", "_pred", "topo_order", "_ranked")
 
-    def __init__(self, succ, pred):
+    def __init__(self, succ, pred, ranked=None):
         self._succ = succ
         self._pred = pred
-        self.topo_order = _kahn(self)
+        self._ranked = ranked
+        self.topo_order = _kahn(succ, pred)
 
     @property
     def nodes(self):
@@ -159,6 +279,15 @@ class UnitGraph:
         """True when ``dst`` depends directly on ``src``."""
         return src in self._succ and dst in self._succ[src]
 
+    def children_ranked(self):
+        """Units sorted by ``(-out_degree, str(uid))``."""
+        ranked = self._ranked
+        if ranked is None:
+            succ = self._succ
+            ranked = self._ranked = sorted(
+                succ, key=lambda uid: (-len(succ[uid]), str(uid)))
+        return ranked
+
     def __iter__(self):
         return iter(self._succ)
 
@@ -166,18 +295,18 @@ class UnitGraph:
         return len(self._succ)
 
 
-def _kahn(graph):
-    """Kahn topological order of ``graph``, or ``None`` on a cycle."""
-    indegree = {node: graph.in_degree(node) for node in graph}
+def _kahn(succ, pred):
+    """Kahn order of the adjacency ``succ``/``pred``; ``None`` on a cycle."""
+    indegree = {node: len(preds) for node, preds in pred.items()}
     ready = [node for node, degree in indegree.items() if not degree]
     order = []
     while ready:
         node = ready.pop()
         order.append(node)
-        for succ in graph.successors(node):
-            indegree[succ] -= 1
-            if not indegree[succ]:
-                ready.append(succ)
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
     return order if len(order) == len(indegree) else None
 
 
@@ -186,7 +315,8 @@ def topological_order(graph):
     :class:`networkx.DiGraph`; ``None`` when the graph has a cycle."""
     if isinstance(graph, UnitGraph):
         return graph.topo_order
-    return _kahn(graph)
+    return _kahn({node: tuple(graph.successors(node)) for node in graph},
+                 {node: tuple(graph.predecessors(node)) for node in graph})
 
 
 def contract_dfg(dfg, ise_groups, technology, software_cycles=None):
@@ -231,25 +361,14 @@ def contract_dfg(dfg, ise_groups, technology, software_cycles=None):
                                area=area)
         for member in members:
             unit_of[member] = uid
-    needs_of = skeleton.needs
-    for node in skeleton.nodes:
-        if node in unit_of:
-            continue
-        latency = 1
-        if software_cycles is not None:
-            latency = software_cycles.get(node, 1)
-        units[node] = SchedUnit(node, latency, needs_of[node], (node,))
-        unit_of[node] = node
-    succ = {uid: {} for uid in units}
-    pred = {uid: {} for uid in units}
-    for src, dst in skeleton.edges:
-        u, v = unit_of[src], unit_of[dst]
-        if u != v:
-            succ[u][v] = None
-            pred[v][u] = None
-    graph = UnitGraph({uid: tuple(s) for uid, s in succ.items()},
-                      {uid: tuple(p) for uid, p in pred.items()})
+    software = skeleton.software_units(software_cycles)
+    if not units:
+        return skeleton.bare_graph(), dict(software)
+    graph = skeleton.contract(unit_of, units)
     if graph.topo_order is None:
         raise SchedulingError("contraction produced a cycle "
                               "(non-convex ISE group)")
+    for node in skeleton.nodes:
+        if node not in unit_of:
+            units[node] = software[node]
     return graph, units

@@ -1,7 +1,9 @@
 """Frozen numpy reference for the lockstep ant step and its kernels.
 
 These are the implementations the batched runner and the reservation
-table used before the step loop moved onto plain per-ant tables: a
+table used before the step loop moved onto plain per-ant tables —
+plus the one-ant-at-a-time iteration the engine ran at ``batch=1``
+until that width moved onto the runner: a
 dense successor matrix folded into a ``(B, n_nodes)`` remaining-count
 matrix, a masked row-wise ``cumsum`` roulette over every flat slot,
 staged first-fit probes, the release/fits/place cluster resize, the
@@ -262,3 +264,56 @@ def worst_boundary_node(dfg, piece):
         return (ext_in, outs, uid)
 
     return max(piece, key=badness)
+
+
+def scalar_iteration(dfg, state, rng, machine, technology, constraints):
+    """One ant of the former ``batch=1`` loop: a sorted ready-uid list,
+    Eq. 1 rows of the ready operations and one cumsum roulette draw per
+    step, placed through ``schedule_hardware``/``schedule_software``."""
+    from bisect import bisect_left, insort
+
+    params = state.params
+    weights = (params.alpha * state._trail_vec
+               + (1.0 - params.alpha) * state._merit_vec
+               + params.lam * state._sp_vec)
+    np.maximum(weights, 1e-12, out=weights)
+    flat = weights.tolist()
+    rows = {}
+    for slot, pair in enumerate(state.slot_pairs()):
+        rows.setdefault(pair[0], []).append((pair, flat[slot]))
+    schedule = IterationSchedule(dfg, machine, technology, constraints)
+    remaining_preds = {uid: len(dfg.predecessors(uid)) for uid in dfg.nodes}
+    ready = sorted(uid for uid, count in remaining_preds.items()
+                   if count == 0)
+    remaining = len(remaining_preds)
+    while remaining:
+        if not ready:
+            raise ExplorationError("ready set empty with work remaining")
+        entries = []
+        for uid in ready:
+            entries.extend(rows[uid])
+        uid, option = _roulette(entries, rng)
+        if option.is_hardware:
+            schedule.schedule_hardware(uid, option)
+        else:
+            schedule.schedule_software(uid, option)
+        del ready[bisect_left(ready, uid)]
+        remaining -= 1
+        for succ in dfg.successors(uid):
+            remaining_preds[succ] -= 1
+            if remaining_preds[succ] == 0:
+                insort(ready, succ)
+    return schedule.verify()
+
+
+def _roulette(entries, rng):
+    cum = np.cumsum(np.fromiter((weight for __, weight in entries),
+                                dtype=np.float64, count=len(entries)))
+    total = cum[-1]
+    draw = rng.random()
+    if total <= 0.0:
+        return entries[min(int(draw * len(entries)), len(entries) - 1)][0]
+    index = int(np.searchsorted(cum, draw * total))
+    if index >= len(entries):
+        index = len(entries) - 1
+    return entries[index][0]

@@ -33,6 +33,44 @@ def chain_dfg(length=4, op="addu"):
     return dfg_from_block(body)
 
 
+class FixedRandom:
+    """An ``rng`` whose ``random()`` always returns ``value``; counts calls."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.value
+
+
+def lockstep_draw(weights, value):
+    """``(label, draws)``: the option the ant runner picks for a lone
+    ready operation whose Eq. 1 option weights are ``weights`` (options
+    labelled ``a``, ``b``, ...), when ``rng.random()`` returns
+    ``value``, and how many draws the ant consumed."""
+    import numpy as np
+
+    from repro.core.batch import BatchedAntRunner
+    from repro.core.state import ExplorationState
+    from repro.hwlib import DEFAULT_TECHNOLOGY
+    from repro.hwlib.options import IOTable, SoftwareOption
+
+    dfg = chain_dfg(1)
+    uid = dfg.nodes[0]
+    labels = "abcdefgh"[:len(weights)]
+    tables = {uid: IOTable(software=[SoftwareOption(label)
+                                     for label in labels])}
+    state = ExplorationState(dfg, tables, ExplorationParams())
+    state.cp_weights_batch = lambda: np.array(weights, dtype=np.float64)
+    rng = FixedRandom(value)
+    runner = BatchedAntRunner(dfg, state, MachineConfig(2, "4/2"),
+                              DEFAULT_TECHNOLOGY, ISEConstraints())
+    schedule = runner.run(rng, 1)[0]
+    return schedule.chosen[uid].label, rng.calls
+
+
 def diamond_dfg():
     """Fig 4.0.1-like: two parallel chains joining."""
 

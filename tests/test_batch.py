@@ -1,9 +1,9 @@
 """Lockstep batched ant construction: parity, units and counters.
 
 The batched runner is a *pure* performance transformation at width 1:
-the schedule it builds from a draw stream must be the one the scalar
-loop builds from the same stream, bit for bit, including the RNG
-position afterwards.  Widths above 1 deliberately reorder the draw
+the schedule it builds from a draw stream must be the one the former
+one-ant loop (``batch_oracle.scalar_iteration``) builds from the same
+stream, bit for bit, including the RNG position afterwards.  Widths above 1 deliberately reorder the draw
 stream (one draw per ant per step, in ant order) against a per-batch
 frozen trail/merit state — a different but pinned RNG lineage, covered
 here by fixed-seed regression digests at ``batch=4`` and ``batch=16``.
@@ -14,8 +14,10 @@ import random
 
 import pytest
 
+import batch_oracle
+
 from repro.config import ExplorationParams
-from repro.engines import aco as aco_engine
+from repro.core import batch as batch_module
 from repro.core.batch import (
     BatchedAntRunner,
     DEFAULT_BATCH,
@@ -113,7 +115,7 @@ class TestEffectiveBatch:
         assert effective_batch(1, 50) == 1
 
 
-# -- width-1 runner vs scalar loop: bit parity -------------------------------
+# -- width-1 runner vs the former one-ant loop: bit parity ------------------
 
 def _schedule_signature(schedule):
     return (
@@ -149,7 +151,9 @@ class TestWidthOneParity:
         tet_a = tet_b = None
         prev_a, prev_b = {}, {}
         for __ in range(3):
-            scalar = explorer._run_iteration(dfg, state_a, rng_a)
+            scalar = batch_oracle.scalar_iteration(
+                dfg, state_a, rng_a, explorer.machine, explorer.technology,
+                explorer.constraints)
             batched = runner.run(rng_b, 1)[0]
             assert (_schedule_signature(scalar)
                     == _schedule_signature(batched))
@@ -208,35 +212,30 @@ class TestBatchedGoldenRegression:
         assert digest_at(1) == digest_at(2)
 
 
-# -- satellite: the scalar ready list stays sorted ---------------------------
+# -- satellite: the ready-slot list stays sorted -----------------------------
 
 class TestReadyListStaysSorted:
     def test_sorted_across_a_full_exploration(self, monkeypatch):
-        """The bisect-based removal is only correct on a sorted list;
-        assert the invariant at every insertion and removal point."""
+        """The runner's bisect-based insertions (ready slots) and picks
+        (cumulative weights) are only correct on sorted lists; assert
+        the invariant at every call, at width 1 and at a lockstep
+        width."""
         checked = {"count": 0}
-        real_insort = aco_engine.insort
-        real_bisect = aco_engine.bisect_left
-
-        def checked_insort(seq, value):
-            assert seq == sorted(seq)
-            checked["count"] += 1
-            return real_insort(seq, value)
+        real_bisect = batch_module.bisect_left
 
         def checked_bisect(seq, value):
-            assert seq == sorted(seq)
+            assert list(seq) == sorted(seq)
             checked["count"] += 1
             return real_bisect(seq, value)
 
-        monkeypatch.setattr(aco_engine, "insort", checked_insort)
-        monkeypatch.setattr(aco_engine, "bisect_left",
-                            checked_bisect)
+        monkeypatch.setattr(batch_module, "bisect_left", checked_bisect)
         dfg = diamond_dfg()
         params = ExplorationParams(max_iterations=20, restarts=1,
                                    max_rounds=2)
-        explorer = AcoEngine(MachineConfig(2, "4/2"),
-                             params=params, seed=2, batch=1)
-        explorer.explore(dfg, jobs=1)
+        for batch in (1, 4):
+            explorer = AcoEngine(MachineConfig(2, "4/2"),
+                                 params=params, seed=2, batch=batch)
+            explorer.explore(dfg, jobs=1)
         assert checked["count"] > 0
 
 

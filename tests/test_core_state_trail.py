@@ -62,10 +62,11 @@ class TestProbabilities:
     def test_cp_weights_cover_ready_matrix(self):
         dfg = chain_dfg(3)
         state = make_state(dfg)
-        entries = state.cp_weights([0, 1])
-        uids = {uid for (uid, __), ___ in entries}
-        assert uids == {0, 1}
-        assert all(w > 0 for __, w in entries)
+        weights = state.cp_weights_batch().tolist()
+        pairs = state.slot_pairs()
+        assert len(weights) == len(pairs)
+        assert {uid for uid, __ in pairs} == set(dfg.nodes)
+        assert all(w > 0 for w in weights)
 
     def test_sp_sums_to_one(self):
         dfg = chain_dfg(2)

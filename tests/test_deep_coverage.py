@@ -93,10 +93,18 @@ class TestStateDetails:
         return ExplorationState(dfg, tables,
                                 ExplorationParams(**overrides))
 
+    @staticmethod
+    def _weights(state, uids):
+        """``{(uid, option): Eq. 1 weight}`` of the options of ``uids``."""
+        weights = state.cp_weights_batch().tolist()
+        return {pair: weight
+                for pair, weight in zip(state.slot_pairs(), weights)
+                if pair[0] in uids}
+
     def test_lambda_zero_ignores_sp(self):
         dfg = diamond_dfg()
         state = self._state(dfg, lam=0.0)
-        entries = dict(state.cp_weights([0, 2]))
+        entries = self._weights(state, (0, 2))
         # With identical option tables and no SP term, weights match
         # across operations.
         by_label = {}
@@ -107,7 +115,7 @@ class TestStateDetails:
     def test_lambda_boosts_high_fanout(self):
         dfg = diamond_dfg()
         state = self._state(dfg, lam=1.0)
-        entries = dict(state.cp_weights([2, 3]))
+        entries = self._weights(state, (2, 3))
         w3 = max(w for (uid, __), w in entries.items() if uid == 3)
         w2 = max(w for (uid, __), w in entries.items() if uid == 2)
         assert w3 > w2            # node 3 has two children

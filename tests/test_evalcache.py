@@ -3,26 +3,22 @@
 import pickle
 
 from repro.core import evalcache
+from repro.core.candidate import ISECandidate
 from repro.core.evalcache import EvalCache, candidate_fingerprint, \
     dfg_fingerprint, evalcache_enabled
 from repro.engines.aco import AcoEngine
+from repro.hwlib import DEFAULT_TECHNOLOGY
 from repro.hwlib.options import HardwareOption
 from repro.sched import MachineConfig
 
 from conftest import chain_dfg, diamond_dfg
 
 
-class FakeCandidate:
-    def __init__(self, members, option_of):
-        self.members = frozenset(members)
-        self.option_of = dict(option_of)
-
-
-def fake_candidates():
+def two_candidates(dfg):
     a = HardwareOption("A", 1.5, 10.0)
     b = HardwareOption("B", 2.5, 20.0)
-    return (FakeCandidate({1, 2}, {1: a, 2: a}),
-            FakeCandidate({4}, {4: b}))
+    return (ISECandidate(dfg, {1, 2}, {1: a, 2: a}, DEFAULT_TECHNOLOGY),
+            ISECandidate(dfg, {4}, {4: b}, DEFAULT_TECHNOLOGY))
 
 
 class TestFingerprints:
@@ -53,15 +49,15 @@ class TestFingerprints:
         # distinct evaluations and must not share a memo entry.
         dfg = chain_dfg(5)
         cache = EvalCache()
-        first, second = fake_candidates()
+        first, second = two_candidates(dfg)
         key_ab = cache.key(dfg, [first, second], None)
         key_ba = cache.key(dfg, [second, first], None)
         assert key_ab != key_ba
 
     def test_key_includes_software_latencies(self):
-        dfg = chain_dfg(3)
+        dfg = chain_dfg(5)
         cache = EvalCache()
-        cands = list(fake_candidates())
+        cands = list(two_candidates(dfg))
         assert (cache.key(dfg, cands, ((0, 1),))
                 != cache.key(dfg, cands, ((0, 2),)))
 

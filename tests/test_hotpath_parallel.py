@@ -15,7 +15,7 @@ from repro.core import parallel
 from repro.core.flow import ISEDesignFlow
 from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.state import ExplorationState
-from repro.engines.aco import AcoEngine, _roulette
+from repro.engines.aco import AcoEngine
 from repro.errors import ConfigError, ReproError
 from repro.eval.persistence import ExplorationCache
 from repro.eval.runner import EvalContext
@@ -23,7 +23,7 @@ from repro.hwlib import DEFAULT_DATABASE, default_io_table
 from repro.sched import MachineConfig
 from repro.workloads import get_workload
 
-from conftest import chain_dfg, diamond_dfg
+from conftest import chain_dfg, diamond_dfg, lockstep_draw
 
 
 def _result_signature(result):
@@ -144,54 +144,39 @@ def _square(value):
     return value * value
 
 
-class _FixedRng:
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 class TestRouletteEdges:
-    ENTRIES = [("a", 1.0), ("b", 2.0), ("c", 1.0)]
+    """Edges of the ant runner's draw (one ready operation, options
+    ``a``/``b``/``c`` weighted as given)."""
+
+    WEIGHTS = [1.0, 2.0, 1.0]
 
     def test_extremes_hit_first_and_last(self):
-        assert _roulette(self.ENTRIES, _FixedRng(0.0)) == "a"
-        assert _roulette(self.ENTRIES, _FixedRng(1.0)) == "c"
+        assert lockstep_draw(self.WEIGHTS, 0.0)[0] == "a"
+        assert lockstep_draw(self.WEIGHTS, 1.0)[0] == "c"
 
     def test_mass_proportionality(self):
-        assert _roulette(self.ENTRIES, _FixedRng(0.5)) == "b"
+        assert lockstep_draw(self.WEIGHTS, 0.5)[0] == "b"
 
     def test_single_entry(self):
-        assert _roulette([("only", 0.25)], _FixedRng(0.7)) == "only"
+        assert lockstep_draw([0.25], 0.7)[0] == "a"
 
     def test_all_zero_weights_draws_uniformly(self):
         # Degenerate wheel: the draw must spread over the entries, not
         # collapse onto one of them.
-        entries = [("a", 0.0), ("b", 0.0)]
-        assert _roulette(entries, _FixedRng(0.0)) == "a"
-        assert _roulette(entries, _FixedRng(0.49)) == "a"
-        assert _roulette(entries, _FixedRng(0.51)) == "b"
-        assert _roulette(entries, _FixedRng(0.9)) == "b"
+        weights = [0.0, 0.0]
+        assert lockstep_draw(weights, 0.0)[0] == "a"
+        assert lockstep_draw(weights, 0.49)[0] == "a"
+        assert lockstep_draw(weights, 0.51)[0] == "b"
+        assert lockstep_draw(weights, 0.9)[0] == "b"
         # rng.random() beyond [0, 1) (only possible from a fake) still
         # lands on a valid entry.
-        assert _roulette(entries, _FixedRng(1.0)) == "b"
+        assert lockstep_draw(weights, 1.0)[0] == "b"
 
     def test_all_zero_weights_consumes_one_draw(self):
         # The degenerate path must consume exactly one rng.random(),
         # like the proportional path, so later draws are unshifted.
-        class _CountingRng:
-            calls = 0
-
-            def random(self):
-                self.calls += 1
-                return 0.25
-
-        rng = _CountingRng()
-        _roulette([("a", 0.0), ("b", 0.0)], rng)
-        assert rng.calls == 1
-        _roulette([("a", 1.0), ("b", 1.0)], rng)
-        assert rng.calls == 2
+        assert lockstep_draw([0.0, 0.0], 0.25)[1] == 1
+        assert lockstep_draw([1.0, 1.0], 0.25)[1] == 1
 
 
 class TestStateEdges:

@@ -4,29 +4,25 @@ export quoting, parser operand forms."""
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
-from repro.engines.aco import AcoEngine, _roulette
+from repro.core.batch import BatchedAntRunner
+from repro.engines.aco import AcoEngine
 from repro.hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY
 from repro.sched import MachineConfig
 
-from conftest import chain_dfg, diamond_dfg
+from conftest import chain_dfg, diamond_dfg, lockstep_draw
 
 
 class TestRoulette:
-    class _FixedRandom:
-        def __init__(self, value):
-            self.value = value
-
-        def random(self):
-            return self.value
+    """The ant runner's roulette draw over a ready operation's options."""
 
     def test_proportional_selection(self):
-        entries = [("a", 1.0), ("b", 3.0)]
-        assert _roulette(entries, self._FixedRandom(0.0)) == "a"
-        assert _roulette(entries, self._FixedRandom(0.5)) == "b"
-        assert _roulette(entries, self._FixedRandom(0.99)) == "b"
+        weights = [1.0, 3.0]
+        assert lockstep_draw(weights, 0.0)[0] == "a"
+        assert lockstep_draw(weights, 0.5)[0] == "b"
+        assert lockstep_draw(weights, 0.99)[0] == "b"
 
     def test_single_entry(self):
-        assert _roulette([("only", 0.5)], self._FixedRandom(0.7)) == "only"
+        assert lockstep_draw([0.5], 0.7)[0] == "a"
 
 
 class TestExplorerInternals:
@@ -37,8 +33,14 @@ class TestExplorerInternals:
                                      max_rounds=2),
             seed=2)
 
-    def test_run_iteration_schedules_everything(self):
+    @staticmethod
+    def _one_ant(explorer, dfg, state):
         import random
+        runner = BatchedAntRunner(dfg, state, explorer.machine,
+                                  explorer.technology, explorer.constraints)
+        return runner.run(random.Random(1), 1)[0]
+
+    def test_run_iteration_schedules_everything(self):
         from repro.core.state import ExplorationState
         from repro.hwlib import default_io_table
         dfg = diamond_dfg()
@@ -46,12 +48,11 @@ class TestExplorerInternals:
         tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
                   for uid in dfg.nodes}
         state = ExplorationState(dfg, tables, explorer.params)
-        schedule = explorer._run_iteration(dfg, state, random.Random(1))
+        schedule = self._one_ant(explorer, dfg, state)
         assert set(schedule.start) == set(dfg.nodes)
         assert schedule.makespan >= 1
 
     def test_candidate_sources_include_best_schedule(self):
-        import random
         from repro.core.state import ExplorationState
         from repro.hwlib import default_io_table
         dfg = chain_dfg(4)
@@ -59,7 +60,7 @@ class TestExplorerInternals:
         tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
                   for uid in dfg.nodes}
         state = ExplorationState(dfg, tables, explorer.params)
-        schedule = explorer._run_iteration(dfg, state, random.Random(1))
+        schedule = self._one_ant(explorer, dfg, state)
         sources = explorer._candidate_sources(dfg, state, schedule)
         assert 1 <= len(sources) <= 2
         for chosen_hw, option_of in sources:

@@ -252,3 +252,154 @@ class TestSkeleton:
         assert _unit_view(units) == _unit_view(ref_units)
         dfg.add_order_edge(0, max(dfg.nodes))
         assert dfg._skeleton is None
+
+
+# -- trial scoring on the per-block tables -------------------------------------
+
+def _trials(dfg, rng, count):
+    """``count`` trial candidate lists of one DFG, built like the engines
+    build them: legal pieces, each list fixing earlier winners first."""
+    from repro.core.candidate import ISECandidate
+
+    trials = []
+    for __ in range(count):
+        candidates = [ISECandidate(dfg, members, option_of,
+                                   DEFAULT_TECHNOLOGY)
+                      for members, option_of in _random_groups(dfg, rng)]
+        trials.append(candidates)
+    return trials
+
+
+def _oracle_cycles(dfg, candidates, tables, machine):
+    cycles = {uid: tables[uid].software[0].cycles for uid in dfg.nodes}
+    graph, units = oracle.contract_dfg(
+        dfg, [(c.members, c.option_of) for c in candidates],
+        DEFAULT_TECHNOLOGY, software_cycles=cycles)
+    start = oracle.list_schedule(graph, units, machine)
+    return max(start[uid] + units[uid].latency for uid in start)
+
+
+def _frozen_key(dfg, candidates, tables):
+    """The evaluation-cache key as ``_evaluate`` built it per call."""
+    from repro.core.evalcache import candidate_fingerprint, dfg_fingerprint
+
+    cycles = {uid: tables[uid].software[0].cycles
+              for uid in dfg.nodes if uid in tables}
+    return (dfg_fingerprint(dfg),
+            tuple(candidate_fingerprint(c.members, c.option_of)
+                  for c in candidates),
+            tuple(sorted(cycles.items())))
+
+
+class TestTrialScoring:
+    @pytest.mark.parametrize("cache", ["1", "0"])
+    def test_evaluate_matches_oracle(self, monkeypatch, cache):
+        from repro.engines.aco import AcoEngine
+
+        monkeypatch.setenv("REPRO_EVALCACHE", cache)
+        rng = random.Random(17)
+        checked = 0
+        for seed in range(12):
+            dfg = random_dfg(seed, n_nodes=rng.choice((6, 16, 32, 48)))
+            machine = MACHINES[seed % len(MACHINES)]
+            engine = AcoEngine(machine, seed=0, batch=1)
+            tables = engine._default_tables(dfg)
+            for candidates in _trials(dfg, rng, 6) * 2:
+                assert (engine._evaluate(dfg, candidates, tables)
+                        == _oracle_cycles(dfg, candidates, tables, machine))
+                checked += 1
+        assert checked == 12 * 12
+
+    def test_adjacent_groups_keep_neighbour_order(self):
+        dfg = chain_dfg(8)
+        option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+        groups = [(members, dict.fromkeys(members, option))
+                  for members in ({2, 3}, {4, 5}, {0, 1})]
+        for count in range(1, 4):
+            graph, units = contract_dfg(dfg, groups[:count],
+                                        DEFAULT_TECHNOLOGY)
+            ref_graph, ref_units = oracle.contract_dfg(
+                dfg, groups[:count], DEFAULT_TECHNOLOGY)
+            assert list(graph.nodes) == list(ref_graph.nodes)
+            for uid in units:
+                assert (tuple(graph.successors(uid))
+                        == tuple(ref_graph.successors(uid)))
+                assert (tuple(graph.predecessors(uid))
+                        == tuple(ref_graph.predecessors(uid)))
+            for machine in MACHINES:
+                assert (list_schedule(graph, units, machine).start
+                        == oracle.list_schedule(ref_graph, ref_units,
+                                                machine))
+
+    def test_cache_keys_equal_the_per_call_formula(self):
+        from repro.core.evalcache import EvalCache
+        from repro.core.pool import shared_key_bytes
+        from repro.engines.base import ExplorerEngine
+
+        rng = random.Random(5)
+        dfg = random_dfg(6, n_nodes=32)
+        engine = ExplorerEngine(MACHINES[1])
+        tables = engine._default_tables(dfg)
+        cache = EvalCache("scope")
+        for candidates in _trials(dfg, rng, 8):
+            __, latencies = block_skeleton(dfg).latencies(tables)
+            key = cache.key(dfg, candidates, latencies)
+            assert key == _frozen_key(dfg, candidates, tables)
+            assert (shared_key_bytes("scope", key) == shared_key_bytes(
+                "scope", _frozen_key(dfg, candidates, tables)))
+
+    def test_budget_charges_once_per_uncached_evaluation(self):
+        from repro.engines.base import EvalBudget
+        from repro.engines.aco import AcoEngine
+
+        rng = random.Random(9)
+        dfg = random_dfg(8, n_nodes=32)
+        trials = _trials(dfg, rng, 5)
+        distinct = len({_frozen_key(dfg, c, {}) for c in trials})
+        budget = EvalBudget(100)
+        engine = AcoEngine(MACHINES[1], seed=0, batch=1, budget=budget)
+        tables = engine._default_tables(dfg)
+        for candidates in trials * 3:
+            engine._evaluate(dfg, candidates, tables)
+        assert budget.spent == engine.stat_evaluations == distinct
+
+    def test_memos_stay_out_of_pickles(self):
+        from repro.core.evalcache import dfg_fingerprint
+        from repro.engines.aco import AcoEngine
+
+        rng = random.Random(3)
+        dfg = random_dfg(2, n_nodes=32)
+        # The adjacency cache and the structural digest pickle with the
+        # DFG by design; build both first.
+        dfg.nodes
+        dfg_fingerprint(dfg)
+        trials = _trials(dfg, rng, 4)
+        engine = AcoEngine(MACHINES[1], seed=0, batch=1)
+        tables = engine._default_tables(dfg)
+        before = pickle.dumps(dfg)
+        candidate_bytes = [pickle.dumps(c) for c in trials[0]]
+        engine_bytes = pickle.dumps(engine)
+        for candidates in trials:
+            engine._evaluate(dfg, candidates, tables)
+        assert block_skeleton(dfg).latencies(tables)
+        assert pickle.dumps(dfg) == before
+        assert [pickle.dumps(c) for c in trials[0]] == candidate_bytes
+        # The engine pickle changes only by its evaluation-cache
+        # entries and its evaluation tally.
+        engine._evalcache._entries.clear()
+        engine.stat_evaluations = 0
+        assert pickle.dumps(engine) == engine_bytes
+
+    def test_verify_rechecks_resources(self):
+        dfg = random_dfg(5, n_nodes=16)
+        graph, units = contract_dfg(dfg, [], DEFAULT_TECHNOLOGY)
+        schedule = list_schedule(graph, units, MACHINES[0])
+        for uid in schedule.start:
+            schedule.start[uid] = 0
+        with pytest.raises(SchedulingError, match="dependence|resources"):
+            schedule.verify(MACHINES[0])
+        schedule.graph = UnitGraph({uid: () for uid in units},
+                                   {uid: () for uid in units})
+        with pytest.raises(SchedulingError,
+                           match="resources exhausted at cycle 0"):
+            schedule.verify(MACHINES[0])
