@@ -99,9 +99,10 @@ def dfg_fingerprint(dfg):
     """Structural digest of a DFG, computed once and cached on it.
 
     A stable content hash (not the builtin ``hash``, which is salted
-    per process): the cached attribute pickles along with the DFG, so
-    pool workers look snapshot entries up under the same key the
-    parent stored them with.
+    per process), so pool workers look snapshot entries up under the
+    same key the parent stored them with.  The cached attribute stays
+    out of pickles: whether an earlier explore already set it on a
+    shared DFG must not change a pickle's bytes.
     """
     cached = getattr(dfg, "_evalcache_fp", None)
     if cached is not None:

@@ -19,7 +19,19 @@ the :class:`ExploredApplication` (never pickled).  Per budget only
 selection, the greedy disjoint pick over the selected ISEs' proposals,
 contraction and list scheduling run — and the last three only when the
 block's ordered tuple of selected ISEs has not been scheduled before.
+
+Stage 1 splits the same way.  Optimisation, the profiling run, liveness
+and DFG lowering do not depend on the machine, so :func:`front_end`
+runs them once per program content and keeps the result in a per-process
+LRU memo of :data:`FRONT_END_ENTRIES` entries.  Every flow then builds
+fresh :class:`BlockInstance` objects over the shared DFGs and schedules
+its own ``base_cycles``; the DFGs are read-only after lowering (see
+:class:`~repro.graph.dfg.DFG`), so explores on any machine or thread
+may share them.
 """
+
+import threading
+from collections import OrderedDict
 
 from ..config import DEFAULT_CONSTRAINTS, DEFAULT_PARAMS
 from ..errors import ReproError
@@ -28,7 +40,7 @@ from ..hwlib.technology import DEFAULT_TECHNOLOGY
 from ..ir.analysis import liveness
 from ..ir.interp import Interpreter
 from ..ir.passes.pipeline import optimize
-from ..obs import ensure_observer
+from ..obs import NULL_OBSERVER, ensure_observer
 from ..sched.list_scheduler import list_schedule
 from ..sched.units import contract_dfg
 from .. import engines
@@ -38,6 +50,77 @@ from .parallel import resolve_jobs
 # stays importable here for the layer tracer in perfbench/layers.py.
 from .replacement import ReplacementPlan, replace_and_schedule  # noqa: F401
 from .selection import select_ises
+
+#: Bound of the per-process front-end memo: the seven workloads at two
+#: opt levels plus spares.  Beyond it the least recently used is evicted.
+FRONT_END_ENTRIES = 16
+
+_front_ends = OrderedDict()
+_front_ends_lock = threading.Lock()
+
+
+class FrontEnd:
+    """The machine-independent half of stage 1 for one program.
+
+    ``program`` is the program as profiled (optimised when an opt level
+    was given) and ``rows`` holds ``(function, label, segments, calls,
+    freq)`` per block in program order, ``segments`` a tuple of DFGs.
+    One instance is shared by every flow that profiles equal content.
+    """
+
+    __slots__ = ("program", "rows")
+
+    def __init__(self, program, rows):
+        self.program = program
+        self.rows = rows
+
+
+def front_end(program, args=(), opt_level=None, obs=NULL_OBSERVER):
+    """``(FrontEnd, cached)`` of ``program`` run with ``args``.
+
+    Memoised per process on the input's content —
+    :meth:`~repro.ir.program.Program.content_key`, ``args`` and
+    ``opt_level`` — never on its name, so an edited program misses.
+    A miss optimises (``opt_level`` ``None`` keeps the program as is),
+    runs the profiling interpreter and lowers every block.  Racing
+    builders of one key each build; ``setdefault`` keeps the first and
+    the loser uses it too.  Counts ``flow.front_end_hits`` /
+    ``flow.front_end_misses`` on ``obs``.
+    """
+    key = (program.content_key(), tuple(args), opt_level)
+    with _front_ends_lock:
+        front = _front_ends.get(key)
+        if front is not None:
+            _front_ends.move_to_end(key)
+    cached = front is not None
+    if not cached:
+        built = _build_front_end(program, args, opt_level)
+        with _front_ends_lock:
+            front = _front_ends.setdefault(key, built)
+            _front_ends.move_to_end(key)
+            while len(_front_ends) > FRONT_END_ENTRIES:
+                _front_ends.popitem(last=False)
+    if obs:
+        obs.count("flow.front_end_hits" if cached
+                  else "flow.front_end_misses")
+    return front, cached
+
+
+def _build_front_end(program, args, opt_level):
+    if opt_level is not None:
+        program = optimize(program, opt_level)
+    interp = Interpreter(program)
+    interp.run(args=args)
+    profile = interp.profile
+    rows = []
+    for func in program.functions:
+        __, live_out = liveness(func)
+        for block in func.blocks:
+            segments, calls = _lower_segments(
+                func, block, live_out[block.label])
+            rows.append((func.name, block.label, tuple(segments), calls,
+                         profile.count(func.name, block.label)))
+    return FrontEnd(program, tuple(rows))
 
 
 class BlockInstance:
@@ -204,22 +287,49 @@ class ISEDesignFlow:
     # -- stage 1: profile + lower ------------------------------------------
 
     def profile_blocks(self, program, args=()):
-        """Run the program, lower every block, attach frequencies."""
-        interp = Interpreter(program)
-        interp.run(args=args)
-        profile = interp.profile
-        blocks = []
-        for func in program.functions:
-            __, live_out = liveness(func)
-            for block in func.blocks:
-                segments, calls = _lower_segments(
-                    func, block, live_out[block.label])
-                freq = profile.count(func.name, block.label)
-                blocks.append(BlockInstance(
-                    func.name, block.label, segments, calls, freq))
+        """Fresh blocks of ``program`` with this machine's base cycles.
+
+        ``program`` runs as is with ``args``, or is a :class:`FrontEnd`
+        already looked up.  Either way the lowered DFGs come from the
+        shared :func:`front_end` memo; only the scheduling is this
+        flow's own.
+        """
+        front = program if isinstance(program, FrontEnd) \
+            else front_end(program, args, obs=self.obs)[0]
+        blocks = [BlockInstance(function, label, list(segments), calls, freq)
+                  for function, label, segments, calls, freq in front.rows]
         for instance in blocks:
             instance.base_cycles = self._block_cycles(instance)
         return blocks
+
+    def profile_application(self, program, args=(), opt_level=None):
+        """Stage 1 for this machine: ``(program, blocks, hot)``.
+
+        ``program`` is the one explored — the memo's optimised program,
+        or the caller's own object when ``opt_level`` is ``None`` —
+        ``blocks`` are fresh :class:`BlockInstance` objects and ``hot``
+        the ones chosen for exploration.  The ``flow.profile`` timer
+        covers the front end on a miss and the content key plus the
+        base cycles on a hit.
+        """
+        obs = self.obs
+        with obs.timer("flow.profile"):
+            front, cached = front_end(program, args, opt_level, obs=obs)
+            blocks = self.profile_blocks(front)
+        if opt_level is not None:
+            program = front.program
+        hot = self._select_hot_blocks(blocks)
+        if obs:
+            obs.event("flow.profile", program=program.name,
+                      opt=opt_level, engine=self.engine,
+                      blocks=len(blocks), cached=cached,
+                      explorable=sum(1 for b in blocks if b.explorable))
+            for instance in hot:
+                obs.event("flow.hot_block", function=instance.function,
+                          label=instance.label, weight=instance.weight,
+                          nodes=len(instance.dfg))
+            obs.gauge("flow.hot_blocks", len(hot))
+        return program, blocks, hot
 
     def _block_cycles(self, instance):
         """Body cycles of a block without ISEs (sum of its segments)."""
@@ -243,26 +353,19 @@ class ISEDesignFlow:
         process pool; per-block RNG streams derive from the block's
         identity, so the bundle is identical to the serial run.
         """
-        if opt_level is not None:
-            program = optimize(program, opt_level)
+        program, blocks, hot = self.profile_application(
+            program, args=args, opt_level=opt_level)
         obs = self.obs
-        with obs.timer("flow.profile"):
-            blocks = self.profile_blocks(program, args=args)
-        hot = self._select_hot_blocks(blocks)
-        if obs:
-            obs.event("flow.profile", program=program.name,
-                      opt=opt_level, engine=self.engine,
-                      blocks=len(blocks),
-                      explorable=sum(1 for b in blocks if b.explorable))
-            for instance in hot:
-                obs.event("flow.hot_block", function=instance.function,
-                          label=instance.label, weight=instance.weight,
-                          nodes=len(instance.dfg))
-            obs.gauge("flow.hot_blocks", len(hot))
         explorer = self._create_explorer()
         jobs = resolve_jobs(self.jobs if jobs is None else jobs, obs=obs)
         with obs.timer("flow.explore_blocks"):
             results = self._explore_hot_blocks(explorer, hot, jobs)
+        return self.assemble_application(program, blocks, hot, results, jobs)
+
+    def assemble_application(self, program, blocks, hot, results, jobs):
+        """The :class:`ExploredApplication` of stage 1 plus the hot
+        blocks' exploration ``results`` (in ``hot`` order)."""
+        obs = self.obs
         candidates = []
         explored_labels = []
         for instance, result in zip(hot, results):

@@ -83,7 +83,6 @@ class EvalContext:
         self.disk_cache = ExplorationCache(obs=self.obs) \
             if disk_cache is None else disk_cache
         self._cache = {}
-        self._programs = {}
         # In-process memoisation tallies — previously invisible (the
         # "cache stats" bugfix): surfaced via cache_stats(), the
         # ``cache.memory_*`` metrics counters and close()'s summary.
@@ -96,11 +95,6 @@ class EvalContext:
         self._close_lock = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------
-
-    def _program(self, workload_name):
-        if workload_name not in self._programs:
-            self._programs[workload_name] = get_workload(workload_name).build()
-        return self._programs[workload_name]
 
     def _flow(self, machine, algorithm):
         if algorithm not in _ENGINE_OF:
@@ -136,7 +130,9 @@ class EvalContext:
                 workload_name, machine, opt_level, algorithm)
             explored = self.disk_cache.load(disk_key)
             if explored is None:
-                program, args = self._program(workload_name)
+                # A fresh build per cell: the flow's front-end memo keys
+                # on program content, so equal builds share stage 1.
+                program, args = get_workload(workload_name).build()
                 with obs.timer("eval.explore"):
                     explored = flow.explore_application(
                         program, args=args, opt_level=opt_level)

@@ -16,15 +16,42 @@ terminator itself is not part of the DFG — it executes in the branch
 slot after the block body, as in the thesis's examples.
 """
 
+import functools
+
 import networkx as nx
 
 from ..errors import IRError
 from ..isa.instruction import Operation
 from .tables import DFGTables
 
+#: Attributes a networkx graph caches on itself on first use (its
+#: adjacency/degree views); pickles leave them out.
+_GRAPH_VIEWS = frozenset(
+    name for klass in nx.DiGraph.__mro__
+    for name, attr in vars(klass).items()
+    if isinstance(attr, functools.cached_property))
+
 
 class DFG:
-    """The data-flow graph of one basic block."""
+    """The data-flow graph of one basic block.
+
+    A DFG is mutated only while it is built (``build_dfg``, contraction,
+    the fuzzer).  Lowered blocks are then shared read-only: the flow's
+    front-end memo hands the same DFGs to every explore of equal program
+    content, on any machine and from any thread.  Every lazy cache is one
+    attribute written once with a complete object, which is safe under
+    the GIL when threads race to build it (the loser's equal copy is
+    dropped): ``_adj`` (adjacency tuples), ``_tables``
+    (:class:`~repro.graph.tables.DFGTables`), ``_skeleton`` (the
+    scheduling skeleton, whose own memos swap whole tuples or store
+    deterministic values per key) and ``_bitset`` (the legality view,
+    whose numpy operands are likewise built once).  The evaluation
+    cache's ``_evalcache_fp`` digest follows the same rule.  Only
+    ``_adj`` pickles, and every lowered block has it after its base
+    cycles are scheduled, so a pickle does not depend on which explores
+    touched the DFG before.  For the same reason the networkx graph
+    pickles without the views it caches on itself on first use.
+    """
 
     def __init__(self, label="", function=""):
         self.graph = nx.DiGraph()
@@ -59,9 +86,11 @@ class DFG:
 
     def __getstate__(self):
         state = dict(self.__dict__)
+        state["graph"] = _bare_graph(self.graph)
         state["_bitset"] = None
         del state["_skeleton"]
         del state["_tables"]
+        state.pop("_evalcache_fp", None)
         return state
 
     def __setstate__(self, state):
@@ -230,6 +259,17 @@ class DFG:
     def __repr__(self):
         return "DFG({}:{}, {} nodes)".format(
             self.function, self.label, len(self))
+
+
+def _bare_graph(graph):
+    """A shallow copy of ``graph`` without its cached views and with an
+    empty networkx dispatch cache."""
+    bare = graph.__class__.__new__(graph.__class__)
+    bare.__dict__.update((name, value) for name, value in vars(graph).items()
+                         if name not in _GRAPH_VIEWS)
+    if "__networkx_cache__" in vars(graph):
+        bare.__networkx_cache__ = {}
+    return bare
 
 
 def build_dfg(block, live_out=frozenset(), function=""):

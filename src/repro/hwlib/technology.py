@@ -58,6 +58,17 @@ class Technology:
             self._cycles_cache[delay_ns] = cycles
         return cycles
 
+    def __getstate__(self):
+        # The delay memo holds whatever the process quantised before, so
+        # it stays out: equal results must pickle to equal bytes.
+        return self.clock_mhz, self.node_um
+
+    def __setstate__(self, state):
+        if state[0] is None:          # older pickles: (None, slot dict)
+            state = state[1]["clock_mhz"], state[1]["node_um"]
+        self.clock_mhz, self.node_um = state
+        self._cycles_cache = {}
+
     def __repr__(self):
         return "Technology({} MHz, {} um)".format(self.clock_mhz, self.node_um)
 

@@ -175,6 +175,16 @@ class IRFunction:
                         self.name, block.label))
         return self
 
+    def content_key(self):
+        """Hashable snapshot of the function: name, parameters, entry and
+        every block's label, annotations, body and terminator."""
+        return (self.name, self.params, self.entry, tuple(
+            (block.label, tuple(sorted(block.annotations.items())),
+             tuple(instr.content_key() for instr in block.body),
+             None if block.terminator is None
+             else block.terminator.content_key())
+            for block in self.blocks))
+
     def clone(self):
         """Deep-ish copy (instructions are immutable value objects)."""
         copy = IRFunction(self.name, self.params)

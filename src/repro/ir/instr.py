@@ -129,6 +129,11 @@ class IRInstr:
 
     # -- misc --------------------------------------------------------------
 
+    def content_key(self):
+        """Every field as one hashable tuple (equal keys, equal instrs)."""
+        return (self.op, self.dest, self.sources, self.imm, self.targets,
+                self.callee, self.args)
+
     def copy(self, **overrides):
         """Shallow copy with selected fields replaced."""
         fields = {

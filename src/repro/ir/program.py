@@ -126,6 +126,17 @@ class Program:
                         func.name, instr.callee))
         return self
 
+    def content_key(self):
+        """Hashable snapshot of everything that defines the program.
+
+        The name, the data image and every function's
+        :meth:`~repro.ir.function.IRFunction.content_key`.  Programs with
+        equal keys run, optimise and lower identically, so the key can
+        stand in for the program in memo tables.
+        """
+        return (self.name, tuple(self.data._bytes.items()),
+                tuple(func.content_key() for func in self.functions))
+
     def clone(self):
         """Deep-ish copy of the program (functions cloned)."""
         copy = Program(self.name, data=self.data)

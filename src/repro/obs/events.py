@@ -12,7 +12,7 @@ for the full per-kind field tables):
 =================  =====================================================
 kind               emitted by
 =================  =====================================================
-``flow.profile``   :meth:`repro.core.flow.ISEDesignFlow.explore_application`
+``flow.profile``   :meth:`repro.core.flow.ISEDesignFlow.profile_application`
 ``flow.hot_block`` one per block chosen for exploration
 ``flow.explored``  exploration finished, candidates gathered
 ``flow.evaluate``  selection + replacement finished (final metrics)

@@ -32,9 +32,11 @@ import threading
 from collections import OrderedDict
 
 from ..config import ISEConstraints
-from ..core.flow import ExploredApplication, ISEDesignFlow
+from ..core.flow import ISEDesignFlow
 from ..core.parallel import resolve_jobs
-from ..ir.passes.pipeline import optimize
+# Stage 1 runs through the flow's shared front end; optimize stays
+# importable here for the layer tracer in perfbench/layers.py.
+from ..ir.passes.pipeline import optimize  # noqa: F401
 from ..obs import NULL_OBSERVER, CallbackSink, Observer
 from ..sched.machine import MachineConfig
 from ..workloads import get_workload
@@ -196,11 +198,11 @@ class ScopeLane:
     def _explore_group(self, fresh):
         """Explore every unique fingerprint in one pool dispatch.
 
-        Mirrors :func:`repro.api.explore` +
-        :meth:`ISEDesignFlow.explore_application` stage by stage, with
-        the single difference that the hot blocks of *all* requests in
-        the group ride one ``_explore_hot_blocks`` fan-out.  The result
-        assembly per request is byte-for-byte the flow's own.
+        Runs :meth:`ISEDesignFlow.explore_application` split at its
+        seams: each request's flow profiles through the shared front end
+        (:meth:`~ISEDesignFlow.profile_application`), the hot blocks of
+        *all* requests ride one ``_explore_hot_blocks`` fan-out, and each
+        flow assembles its own bundle from its slice of the results.
         """
         from ..api import ExploreResult, _resolve_params
 
@@ -227,9 +229,8 @@ class ScopeLane:
                                  **flow_kwargs)
             bundle = get_workload(req["workload"])
             program, args = bundle.build()
-            program = optimize(program, req["opt"])
-            blocks = flow.profile_blocks(program, args=args)
-            hot = flow._select_hot_blocks(blocks)
+            program, blocks, hot = flow.profile_application(
+                program, args=args, opt_level=req["opt"])
             prepared.append((fingerprint, waiters, req, bundle, flow,
                              program, blocks, hot))
         flow0 = prepared[0][4]
@@ -241,20 +242,10 @@ class ScopeLane:
         try:
             for (fingerprint, waiters, req, bundle, flow, program, blocks,
                  hot) in prepared:
-                block_results = results[position:position + len(hot)]
+                explored = flow.assemble_application(
+                    program, blocks, hot,
+                    results[position:position + len(hot)], jobs)
                 position += len(hot)
-                candidates = []
-                explored_labels = []
-                for instance, result in zip(hot, block_results):
-                    explored_labels.append(
-                        (instance.function, instance.label))
-                    for candidate in result.candidates:
-                        candidate.weighted_saving = (
-                            candidate.cycle_saving * instance.freq)
-                        candidates.append(candidate)
-                explored = ExploredApplication(
-                    program, flow.machine, blocks, candidates,
-                    explored_labels, flow.technology, flow.constraints)
                 api_result = ExploreResult(
                     workload=bundle.name, opt=req["opt"],
                     issue=req["issue"], ports=req["ports"],
