@@ -18,12 +18,12 @@ ant keeps plain per-block tables:
   sum reaching the scaled draw.  Unready slots weigh nothing, and
   adding zeros leaves a float sum unchanged, so the pick is the one a
   sum over every slot would make, bit for bit;
-* the drawn placement applied at once: software options and fresh ISE
-  cluster opens take a first-fit probe on the ant's own reservation
-  table (opens clone a per-operation I/O tracker template instead of
-  re-walking the operation's edges), and a hardware option whose
-  operation has a parent already in one of that ant's clusters takes
-  the join path, which tries those clusters first
+* the drawn placement applied at once, through the schedule's own
+  placement code: software options and fresh ISE cluster opens reserve
+  the first fitting cycle of the ant's reservation table (an open reads
+  its singleton ASFU demand off the DFG's per-node tables), and a
+  hardware option whose operation has a parent already in one of that
+  ant's clusters takes the join path, which tries those clusters first
   (:meth:`~repro.core.iteration.IterationSchedule.join_parent`).
 
 The ``stat_*`` tallies feed the ``batch.*`` observability counters:
@@ -43,8 +43,7 @@ from bisect import bisect_left
 from itertools import accumulate
 
 from ..errors import ConfigError, ExplorationError
-from ..graph.analysis import SubgraphIOTracker
-from .iteration import IterationSchedule, asfu_needs
+from .iteration import IterationSchedule
 
 #: Environment variable supplying the default ant batch size.
 BATCH_ENV = "REPRO_ANT_BATCH"
@@ -111,11 +110,12 @@ def effective_batch(batch, n_nodes):
 class BatchedAntRunner:
     """Constructs ``B`` iteration schedules per call, in lockstep.
 
-    One runner lives for one exploration round: the DFG topology, the
-    flat slot layout of the round's
-    :class:`~repro.core.state.ExplorationState`, the software demand of
-    every slot and the cluster-open templates are precomputed once;
-    :meth:`run` then performs ``n_nodes`` lockstep steps per batch.
+    One runner lives for one exploration round: the flat slot layout of
+    the round's :class:`~repro.core.state.ExplorationState` and the
+    software demand of every slot are precomputed once, the node index
+    and topology come from the DFG's own
+    :class:`~repro.graph.tables.DFGTables`; :meth:`run` then performs
+    ``n_nodes`` lockstep steps per batch.
     Construction is exact — at any batch size each ant's schedule is
     the one a one-ant-at-a-time walk would build from the same per-ant
     draw stream.
@@ -127,46 +127,33 @@ class BatchedAntRunner:
         self.machine = machine
         self.technology = technology
         self.constraints = constraints
-        uids = list(dfg.nodes)
-        self._uids = uids
-        index = {uid: i for i, uid in enumerate(uids)}
+        tables = dfg.tables()
+        index = tables.index
+        self._n_nodes = len(tables.uids)
         # Node tables by index: successor indices (adjacency is
         # deduplicated, so they match the predecessor counts) and the
         # remaining-predecessor count every ant starts from.
-        self._succ_index = [tuple(index[succ] for succ in dfg.successors(uid))
-                            for uid in uids]
-        self._base_preds = [len(dfg.predecessors(uid)) for uid in uids]
+        self._succ_index = tables.succ_index
+        self._base_preds = tables.base_preds
         # Flat slot layout shared with the state's trail/merit vectors:
         # an operation's options are consecutive slots, operations in
         # ``dfg.nodes`` order, so ready lists stay sorted by slot.
         pairs = state.slot_pairs()
         self._slot_pairs = pairs
         self._slot_node = [index[uid] for uid, __ in pairs]
-        first = [len(pairs)] * len(uids)
-        stop = [0] * len(uids)
+        first = [len(pairs)] * self._n_nodes
+        stop = [0] * self._n_nodes
         for slot, node in enumerate(self._slot_node):
             first[node] = min(first[node], slot)
             stop[node] = slot + 1
         self._node_span = list(zip(first, stop))
-        self._preds_of = {uid: tuple(dfg.predecessors(uid))
-                          for uid in uids}
-        # Per-slot placement precomputation: the resource demand of a
-        # software option and of a singleton cluster open are functions
-        # of the (frozen) DFG alone, so they are computed once here —
-        # software Needs per slot, and a template
-        # :class:`~repro.graph.analysis.SubgraphIOTracker` per
-        # operation that actual opens clone instead of re-walking the
-        # operation's edges for every ant.
+        # The software demand of every slot is a function of the
+        # (frozen) DFG alone, so it is looked up once here.
         probe = IterationSchedule(dfg, machine, technology, constraints)
         self._slot_sw_needs = [
             None if option.is_hardware
             else probe.software_needs(uid, option)
             for uid, option in pairs]
-        self._open_template = {}
-        for uid in uids:
-            io = SubgraphIOTracker(dfg)
-            io.add(uid)
-            self._open_template[uid] = (io, asfu_needs(io.n_in, io.n_out))
         #: Always-on tallies feeding the ``batch.*`` obs counters:
         #: ants built, join-path placements and lockstep draws.
         self.stat_ants_batched = 0
@@ -182,7 +169,7 @@ class BatchedAntRunner:
         in (step, ant) order; at ``n_ants == 1`` that is one draw per
         step.
         """
-        n_nodes = len(self._uids)
+        n_nodes = self._n_nodes
         schedules = [IterationSchedule(self.dfg, self.machine,
                                        self.technology, self.constraints)
                      for __ in range(n_ants)]
@@ -244,19 +231,14 @@ class BatchedAntRunner:
         uid, option = self._slot_pairs[slot]
         needs = self._slot_sw_needs[slot]
         if needs is not None:
-            cycle = schedule.table.first_fit(
-                needs, not_before=schedule.data_ready(uid))
-            schedule.place_software(uid, option, needs, cycle)
+            schedule._place_software(uid, option, needs)
             return
         cluster_of = schedule.cluster_of
         if cluster_of:
-            for pred in self._preds_of[uid]:
+            for pred in schedule._preds[uid]:
                 if pred in cluster_of:
                     self.stat_scalar_fallbacks += 1
                     if schedule.join_parent(uid, option):
                         return
                     break
-        io, needs = self._open_template[uid]
-        cycle = schedule.table.first_fit(
-            needs, not_before=schedule.data_ready(uid))
-        schedule.place_cluster(uid, option, io.clone(), needs, cycle)
+        schedule._open_cluster(uid, option)

@@ -8,12 +8,19 @@ their parents in the same time slot (combinational chaining inside the
 ASFU); failing that they open a new cluster at the earliest feasible
 slot.  Clusters grow as members join — their reservation (register
 ports, critical-path cycles) is revised in place.
+
+A cluster is an int bit row over the DFG's node index
+(:class:`~repro.graph.tables.DFGTables`).  A join probe recounts the
+grown row's §4.2 ``IN`` — and, only when that fits, ``OUT`` — from the
+DFG's per-node value tables: a probe is a recount, not an update of
+per-value bookkeeping, and a rejected one leaves the cluster untouched.
+Placements go through one fused first-fit-and-commit,
+:meth:`~repro.sched.resources.ReservationTable.reserve`.
 """
 
 from functools import lru_cache
 
 from ..errors import ExplorationError, SchedulingError
-from ..graph.analysis import SubgraphIOTracker
 from ..hwlib.asfu import IncrementalDelay
 from ..sched.resources import Needs, ReservationTable
 
@@ -32,32 +39,49 @@ def asfu_needs(n_in, n_out):
     return Needs(reads=n_in, writes=n_out, fu_kind="asfu")
 
 
-class Cluster:
+@lru_cache(maxsize=None)
+def _software_needs(reads, writes, fu_kind):
+    """The shared :class:`Needs` of a software operation (read-only)."""
+    return Needs(reads=reads, writes=writes, fu_kind=fu_kind)
+
+
+class Cluster(IncrementalDelay):
     """An ISE under construction within one iteration's schedule.
 
-    Geometry (the §4.2 ``IN``/``OUT`` value sets and the combinational
-    critical path) is cached in incremental trackers and revised as
-    members join, instead of being rebuilt from the member set on every
-    join attempt.  ``min_ext_start`` caches the earliest start cycle of
+    ``option_of`` maps each member to its hardware option; ``row`` is
+    the member set as an int bit row over the DFG's node index and
+    ``idxs`` the members' indices in join order, over which a join probe
+    recounts ``IN``/``OUT``.  The cluster is its own
+    :class:`~repro.hwlib.asfu.IncrementalDelay`: ``longest`` and
+    ``delay_ns`` hold the combinational critical path, revised as
+    members join.  ``min_ext_start`` caches the earliest start cycle of
     any already-placed external consumer of a member, so growing the
     critical path checks one number instead of walking every member's
     successors.
     """
 
-    __slots__ = ("cid", "members", "start", "option_of", "delay_ns",
-                 "cycles", "needs", "io", "timing", "min_ext_start")
+    __slots__ = ("cid", "start", "option_of", "cycles", "needs", "row",
+                 "idxs", "min_ext_start")
 
-    def __init__(self, cid, start):
+    def __init__(self, dfg, cid, start, uid, index, option, needs, cycles):
+        """The singleton cluster of ``uid`` (node ``index``) opened at
+        cycle ``start``."""
+        self.graph = dfg
+        self.longest = {uid: option.delay_ns}
+        self.delay_ns = option.delay_ns
         self.cid = cid
-        self.members = set()
         self.start = start
-        self.option_of = {}
-        self.delay_ns = 0.0
-        self.cycles = 1
-        self.needs = None
-        self.io = None
-        self.timing = None
+        self.option_of = {uid: option}
+        self.cycles = cycles
+        self.needs = needs
+        self.row = 1 << index
+        self.idxs = (index,)
         self.min_ext_start = _NO_CONSUMER
+
+    @property
+    def members(self):
+        """The member uids (a live view of ``option_of``'s keys)."""
+        return self.option_of.keys()
 
     def __repr__(self):
         return "Cluster({} @C{}, {} ops, {} cyc)".format(
@@ -69,6 +93,8 @@ class IterationSchedule:
 
     def __init__(self, dfg, machine, technology, constraints):
         self.dfg = dfg
+        tables = self._tables = dfg.tables()
+        self._preds = tables.preds
         self.machine = machine
         self.technology = technology
         self.constraints = constraints
@@ -78,16 +104,11 @@ class IterationSchedule:
         self.cluster_of = {}
         self.clusters = []
         self.order = {}
-        self._next_order = 0
-        self._next_cluster = 0
-        # Incremental readiness/makespan bookkeeping, maintained at
-        # _commit time so placements never rescan their predecessors:
-        # software finish cycles are immutable once committed and fold
-        # into scalars; cluster finishes can still grow as members
-        # join, so a node keeps references to its placed predecessor
-        # clusters and reads their current finish on demand.
-        self._ready_sw = {}          # uid -> max finish of sw-placed preds
-        self._pred_clusters = {}     # uid -> [distinct placed pred clusters]
+        # Software finish cycles never change once committed, so they
+        # are kept per operation and folded into the makespan; cluster
+        # finishes can still grow as members join and are read off the
+        # cluster when asked.
+        self._finish_sw = {}         # uid -> finish of a sw placement
         self._makespan_sw = 0
         # Cheap always-on packing tallies (Fig. 4.3.4), aggregated into
         # the observability counters at round end.
@@ -103,21 +124,26 @@ class IterationSchedule:
 
     def finish(self, uid):
         """First cycle after ``uid`` completes (cluster-aware)."""
-        cluster = self.cluster_of.get(uid)
-        if cluster is not None:
-            return cluster.start + cluster.cycles
-        option = self.chosen[uid]
-        return self.start[uid] + option.cycles
+        finish = self._finish_sw.get(uid)
+        if finish is None:
+            cluster = self.cluster_of[uid]
+            finish = cluster.start + cluster.cycles
+        return finish
 
     def data_ready(self, uid):
         """Earliest start cycle permitted by already-placed parents."""
-        ready = self._ready_sw.get(uid, 0)
-        clusters = self._pred_clusters.get(uid)
-        if clusters:
-            for cluster in clusters:
+        ready = 0
+        finish_sw = self._finish_sw
+        cluster_of = self.cluster_of
+        for pred in self._preds[uid]:
+            finish = finish_sw.get(pred)
+            if finish is None:
+                cluster = cluster_of.get(pred)
+                if cluster is None:
+                    continue              # not placed yet
                 finish = cluster.start + cluster.cycles
-                if finish > ready:
-                    ready = finish
+            if finish > ready:
+                ready = finish
         return ready
 
     @property
@@ -142,25 +168,22 @@ class IterationSchedule:
 
     def schedule_software(self, uid, option):
         """Place ``uid`` with a software option (Fig. 4.3.3)."""
-        needs = self.software_needs(uid, option)
-        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
-        self.place_software(uid, option, needs, cycle)
+        self._place_software(uid, option, self.software_needs(uid, option))
 
     def software_needs(self, uid, option):
         """Resource demand of placing ``uid`` with a software option.
 
         Split out of :meth:`schedule_software` so the batched runner
         can compute it once per slot instead of once per placement.
+        Equal demands share one :class:`Needs`.
         """
         operation = self.dfg.op(uid)
-        return Needs(reads=len(operation.sources),
-                     writes=len(operation.dests),
-                     fu_kind=option.fu_kind)
+        return _software_needs(len(operation.sources),
+                               len(operation.dests), option.fu_kind)
 
-    def place_software(self, uid, option, needs, cycle):
-        """Commit a software placement whose first-fit cycle is known."""
-        self.table.place(cycle, needs)
-        self._commit(uid, option, cycle)
+    def _place_software(self, uid, option, needs):
+        cycle = self.table.reserve(needs, self.data_ready(uid))
+        self._commit(uid, option, cycle, None)
 
     # -- hardware placement (Fig. 4.3.4) ----------------------------------------
 
@@ -175,7 +198,7 @@ class IterationSchedule:
         for cluster in self._parent_clusters(uid):
             if self._try_join(cluster, uid, option):
                 self.stat_cluster_joins += 1
-                self._commit(uid, option, cluster.start)
+                self._commit(uid, option, cluster.start, cluster)
                 return True
             self.stat_join_rejects += 1
         return False
@@ -183,8 +206,9 @@ class IterationSchedule:
     def _parent_clusters(self, uid):
         """Clusters containing a parent, latest start first."""
         seen = []
-        for pred in self.dfg.predecessors(uid):
-            cluster = self.cluster_of.get(pred)
+        cluster_of = self.cluster_of
+        for pred in self._preds[uid]:
+            cluster = cluster_of.get(pred)
             if cluster is not None and cluster not in seen:
                 seen.append(cluster)
         if len(seen) > 1:
@@ -199,32 +223,36 @@ class IterationSchedule:
         the grown cluster must respect the register-port constraints of
         §4.2 as well as the cycle's remaining budget.
         """
-        for pred in self.dfg.predecessors(uid):
-            if pred in cluster.members:
+        members = cluster.option_of
+        for pred in self._preds[uid]:
+            if pred in members:
                 continue
             if self.finish(pred) > cluster.start:
                 return False
-        io_delta = cluster.io.preview_add(uid,
-                                          n_in_limit=self.constraints.n_in)
-        if io_delta is None:
+        tables = self._tables
+        index = tables.index[uid]
+        row = cluster.row | (1 << index)
+        idxs = cluster.idxs + (index,)
+        constraints = self.constraints
+        n_in = tables.in_count(row, idxs)
+        if n_in > constraints.n_in:
             return False
-        n_in, n_out = io_delta.n_in, io_delta.n_out
-        if n_out > self.constraints.n_out:
+        n_out = tables.out_count(row, idxs)
+        if n_out > constraints.n_out:
             return False
-        arrival = None
-        if io_delta.succ_members:
+        probe = None
+        if tables.dsucc_bits[index] & cluster.row:
             # A member already consumes uid — not a sink addition, so
             # the cached arrival times cannot be extended in place.
-            option_map = dict(cluster.option_of)
+            option_map = dict(members)
             option_map[uid] = option
             probe = IncrementalDelay(self.dfg)
-            probe.rebuild(cluster.members | {uid}, option_map.__getitem__)
+            probe.rebuild(option_map, option_map.__getitem__)
             new_delay = probe.delay_ns
         else:
-            arrival, new_delay = cluster.timing.preview_add(
-                uid, option.delay_ns)
+            arrival, new_delay = cluster.preview_add(uid, option.delay_ns)
         new_cycles = self.technology.cycles_for_delay(new_delay)
-        limit = self.constraints.max_ise_cycles
+        limit = constraints.max_ise_cycles
         if limit is not None and new_cycles > limit:
             return False              # pipestage timing constraint
         # Growing the critical path must not overrun an already-placed
@@ -237,87 +265,62 @@ class IterationSchedule:
         if not self.table.try_resize(cluster.start, cluster.needs,
                                      new_needs):
             return False
-        cluster.io.commit(io_delta)
-        cluster.members.add(uid)
-        cluster.option_of[uid] = option
-        if arrival is not None:
-            cluster.timing.commit(uid, arrival, new_delay)
+        cluster.row = row
+        cluster.idxs = idxs
+        members[uid] = option
+        if probe is None:
+            cluster.commit(uid, arrival, new_delay)
         else:
-            cluster.timing.rebuild(cluster.members,
-                                   cluster.option_of.__getitem__)
+            cluster.longest = probe.longest
+            cluster.delay_ns = new_delay
         cluster.needs = new_needs
-        cluster.delay_ns = new_delay
         cluster.cycles = new_cycles
         self.cluster_of[uid] = cluster
         return True
 
     def _open_cluster(self, uid, option):
-        io = SubgraphIOTracker(self.dfg)
-        io.add(uid)
-        needs = asfu_needs(io.n_in, io.n_out)
-        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
-        self.place_cluster(uid, option, io, needs, cycle)
-
-    def place_cluster(self, uid, option, io, needs, cycle):
-        """Open a singleton cluster at a known first-fit cycle."""
+        """Open a singleton cluster at the first cycle its ASFU fits."""
+        tables = self._tables
+        index = tables.index[uid]
+        needs = asfu_needs(*tables.singleton_io[index])
+        cycle = self.table.reserve(needs, self.data_ready(uid))
         self.stat_cluster_opens += 1
-        self.table.place(cycle, needs)
-        cluster = Cluster(self._next_cluster, cycle)
-        self._next_cluster += 1
-        cluster.members = {uid}
-        cluster.option_of = {uid: option}
-        cluster.io = io
-        cluster.timing = IncrementalDelay(self.dfg)
-        cluster.timing.commit(uid, option.delay_ns, option.delay_ns)
-        cluster.needs = needs
-        cluster.delay_ns = option.delay_ns
-        cluster.cycles = self.technology.cycles_for_delay(option.delay_ns)
+        cluster = Cluster(self.dfg, len(self.clusters), cycle, uid, index,
+                          option, needs,
+                          self.technology.cycles_for_delay(option.delay_ns))
         self.clusters.append(cluster)
         self.cluster_of[uid] = cluster
-        self._commit(uid, option, cycle)
+        self._commit(uid, option, cycle, cluster)
 
-    def _commit(self, uid, option, cycle):
-        if uid in self.start:
+    def _commit(self, uid, option, cycle, cluster):
+        """Record ``uid`` at ``cycle``; ``cluster`` is the one it now
+        sits in, or ``None`` for a software placement."""
+        start = self.start
+        if uid in start:
             raise ExplorationError("operation {} scheduled twice".format(uid))
-        self.start[uid] = cycle
+        start[uid] = cycle
         self.chosen[uid] = option
-        self.order[uid] = self._next_order
-        self._next_order = self._next_order + 1
-        dfg = self.dfg
-        cluster = self.cluster_of.get(uid)
+        order = self.order
+        order[uid] = len(order)
         if cluster is None:
-            # Software finish cycles never change again: fold them into
-            # the per-successor readiness scalars and the makespan.
-            finish = cycle + option.cycles
+            finish = self._finish_sw[uid] = cycle + option.cycles
             if finish > self._makespan_sw:
                 self._makespan_sw = finish
-            ready_sw = self._ready_sw
-            for succ in dfg.successors(uid):
-                if finish > ready_sw.get(succ, 0):
-                    ready_sw[succ] = finish
-        else:
-            # Cluster finishes can still grow; successors track the
-            # cluster itself and read its finish when asked.
-            pred_clusters = self._pred_clusters
-            for succ in dfg.successors(uid):
-                clusters = pred_clusters.get(succ)
-                if clusters is None:
-                    pred_clusters[succ] = [cluster]
-                elif cluster not in clusters:
-                    clusters.append(cluster)
         # This placement is an external consumer of every *other*
         # cluster a parent sits in: tighten their growth ceilings.
-        for pred in dfg.predecessors(uid):
-            pred_cluster = self.cluster_of.get(pred)
-            if (pred_cluster is not None and pred_cluster is not cluster
-                    and cycle < pred_cluster.min_ext_start):
-                pred_cluster.min_ext_start = cycle
+        cluster_of = self.cluster_of
+        if cluster_of:
+            for pred in self._preds[uid]:
+                pred_cluster = cluster_of.get(pred)
+                if (pred_cluster is not None and pred_cluster is not cluster
+                        and cycle < pred_cluster.min_ext_start):
+                    pred_cluster.min_ext_start = cycle
 
     # -- realized-assignment views --------------------------------------------
 
     def ise_groups(self):
         """The clusters as ``(members, option_of)`` pairs (for analysis)."""
-        return [(frozenset(c.members), dict(c.option_of))
+        return [(frozenset(c.option_of), dict(c.option_of))
                 for c in self.clusters]
 
     def software_cycles(self):

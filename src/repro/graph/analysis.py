@@ -52,180 +52,6 @@ def output_values(dfg, members):
     return values
 
 
-class _IODelta:
-    """One previewed membership addition of a :class:`SubgraphIOTracker`.
-
-    Carries the would-be ``IN``/``OUT`` sizes plus everything needed to
-    commit the addition without recomputing it.
-    """
-
-    __slots__ = ("uid", "n_in", "n_out", "delta_in", "delta_out",
-                 "escapes", "stops_escaping", "succ_members")
-
-    def __init__(self, uid, n_in, n_out, delta_in, delta_out,
-                 escapes, stops_escaping, succ_members):
-        self.uid = uid
-        self.n_in = n_in
-        self.n_out = n_out
-        self.delta_in = delta_in
-        self.delta_out = delta_out
-        self.escapes = escapes
-        self.stops_escaping = stops_escaping
-        self.succ_members = succ_members
-
-
-class SubgraphIOTracker:
-    """Incremental ``IN(S)``/``OUT(S)`` sizes of a growing member set.
-
-    Mirrors :func:`input_values`/:func:`output_values` exactly, but
-    updates in O(degree) per added member instead of rebuilding from the
-    whole set: per value name it counts *contributions* — (member,
-    crossing edge) pairs and external block inputs for ``IN``, escaping
-    producers for ``OUT`` — so names defined by several producers (the
-    DFG is not SSA) stay counted while any external source remains.
-
-    :meth:`preview_add` computes the grown sizes without mutating, so a
-    caller (cluster fusion in the iteration scheduler) can reject the
-    growth and keep the tracker valid; :meth:`commit` applies a
-    previously previewed delta.
-    """
-
-    __slots__ = ("dfg", "members", "_in_count", "_out_count", "_escaping",
-                 "n_in", "n_out")
-
-    def __init__(self, dfg):
-        self.dfg = dfg
-        self.members = set()
-        self._in_count = {}       # value -> #external contributions
-        self._out_count = {}      # value -> #escaping producers
-        self._escaping = set()
-        self.n_in = 0
-        self.n_out = 0
-
-    def _escapes(self, uid, members):
-        """True when ``uid``'s value must leave ``members`` (§4.2 OUT)."""
-        dfg = self.dfg
-        if dfg.is_output(uid):
-            return True
-        return any(succ not in members for succ in dfg.data_successors(uid))
-
-    def _escapes_grown(self, uid, added):
-        """:meth:`_escapes` against ``members | {added}`` without building
-        the grown set (previews run per fusion probe, mostly rejected)."""
-        dfg = self.dfg
-        if dfg.is_output(uid):
-            return True
-        members = self.members
-        return any(succ != added and succ not in members
-                   for succ in dfg.data_successors(uid))
-
-    def preview_add(self, uid, n_in_limit=None):
-        """Sizes of IN/OUT after adding ``uid``, without committing.
-
-        ``n_in_limit`` enables the caller's own reject test to run
-        early: when the grown ``IN`` size already exceeds it, the
-        (costlier) ``OUT`` half is skipped and ``None`` is returned —
-        join probes are mostly rejected, and mostly on ``IN``.
-        """
-        dfg = self.dfg
-        members = self.members
-        tables = dfg.tables()
-        # IN: edges uid -> member stop crossing; uid's own external
-        # inputs and crossing in-edges start counting.
-        delta_in = {}
-        succ_members = []
-        for succ, values in tables.data_out[uid]:
-            if succ in members:
-                succ_members.append(succ)
-                for value in values:
-                    delta_in[value] = delta_in.get(value, 0) - 1
-        for value in dfg.external_inputs(uid):
-            delta_in[value] = delta_in.get(value, 0) + 1
-        for pred, values in tables.data_in[uid]:
-            if pred not in members:
-                for value in values:
-                    delta_in[value] = delta_in.get(value, 0) + 1
-        n_in = self.n_in
-        for value, delta in delta_in.items():
-            old = self._in_count.get(value, 0)
-            new = old + delta
-            if old > 0 and new <= 0:
-                n_in -= 1
-            elif old <= 0 and new > 0:
-                n_in += 1
-        if n_in_limit is not None and n_in > n_in_limit:
-            return None
-        # OUT: uid may escape; member data-predecessors of uid may stop
-        # escaping (uid was their last outside consumer).
-        delta_out = {}
-        escapes = self._escapes_grown(uid, uid)
-        if escapes:
-            for value in dfg.op(uid).dests:
-                delta_out[value] = delta_out.get(value, 0) + 1
-        stops_escaping = []
-        for pred in dfg.data_predecessors(uid):
-            if pred in self._escaping and not self._escapes_grown(pred, uid):
-                stops_escaping.append(pred)
-                for value in dfg.op(pred).dests:
-                    delta_out[value] = delta_out.get(value, 0) - 1
-        n_out = self.n_out
-        for value, delta in delta_out.items():
-            old = self._out_count.get(value, 0)
-            new = old + delta
-            if old > 0 and new <= 0:
-                n_out -= 1
-            elif old <= 0 and new > 0:
-                n_out += 1
-        return _IODelta(uid, n_in, n_out, delta_in, delta_out,
-                        escapes, stops_escaping, succ_members)
-
-    def commit(self, delta):
-        """Apply a delta produced by :meth:`preview_add`."""
-        for value, change in delta.delta_in.items():
-            new = self._in_count.get(value, 0) + change
-            if new:
-                self._in_count[value] = new
-            else:
-                self._in_count.pop(value, None)
-        for value, change in delta.delta_out.items():
-            new = self._out_count.get(value, 0) + change
-            if new:
-                self._out_count[value] = new
-            else:
-                self._out_count.pop(value, None)
-        if delta.escapes:
-            self._escaping.add(delta.uid)
-        for uid in delta.stops_escaping:
-            self._escaping.discard(uid)
-        self.members.add(delta.uid)
-        self.n_in = delta.n_in
-        self.n_out = delta.n_out
-
-    def add(self, uid):
-        """Preview-and-commit in one step; returns the applied delta."""
-        delta = self.preview_add(uid)
-        self.commit(delta)
-        return delta
-
-    def clone(self):
-        """Independent copy sharing only the (immutable) DFG.
-
-        The batched ant runner opens every singleton cluster from a
-        per-operation template tracker: one :meth:`add` walk at set-up,
-        then a cheap state copy per actual open instead of re-walking
-        the operation's edges for every ant.
-        """
-        other = SubgraphIOTracker.__new__(SubgraphIOTracker)
-        other.dfg = self.dfg
-        other.members = set(self.members)
-        other._in_count = dict(self._in_count)
-        other._out_count = dict(self._out_count)
-        other._escaping = set(self._escaping)
-        other.n_in = self.n_in
-        other.n_out = self.n_out
-        return other
-
-
 def io_counts(dfg, members):
     """``(|IN(S)|, |OUT(S)|)`` port counts of a membership set.
 

@@ -18,8 +18,9 @@ A :class:`BitsetDFG` is a derived, read-only view of one (frozen)
 * per-node **transitive-closure rows** (strict ancestors/descendants)
   make convexity the identity ``descendants(S) & ancestors(S) & ~S ==
   0``,
-* per-node data-successor rows plus **value-ownership tables** (which
-  reader set pulls a value in, which producer bit pushes one out) turn
+* per-node data-successor rows plus the **value-ownership tables** of
+  the DFG's :class:`~repro.graph.tables.DFGTables` (which reader set
+  pulls a value in, which producer bit pushes one out) turn
   ``IN``/``OUT`` counting into masked any-tests grouped by value id —
   bit-identical to :func:`~repro.graph.analysis.input_values` /
   :func:`~repro.graph.analysis.output_values` even for non-SSA names
@@ -75,9 +76,9 @@ class BitsetDFG:
 
     def __init__(self, dfg):
         self.dfg = dfg
-        uids = list(dfg.nodes)
-        self.uids = uids
-        self.index = {uid: i for i, uid in enumerate(uids)}
+        tables = self.tables = dfg.tables()
+        uids = self.uids = tables.uids
+        self.index = tables.index
         n = len(uids)
         self.n = n
         self.n_words = max(1, (n + _WORD - 1) // _WORD)
@@ -92,21 +93,11 @@ class BitsetDFG:
         """Per-node int bit rows: closures, adjacency, value ownership."""
         n = self.n
         index = self.index
-        # Topological order (Kahn) over the full edge set.
-        indegree = {uid: 0 for uid in uids}
-        for __, dst in dfg.edge_pairs():
-            indegree[dst] += 1
-        topo = []
-        ready = [uid for uid in uids if not indegree[uid]]
-        while ready:
-            uid = ready.pop()
-            topo.append(uid)
-            for succ in dfg.successors(uid):
-                indegree[succ] -= 1
-                if not indegree[succ]:
-                    ready.append(succ)
-        if len(topo) != n:
+        tables = self.tables
+        rank = tables.rank
+        if rank is None:
             raise ConstraintError("DFG contains a dependence cycle")
+        topo = sorted(uids, key=rank.__getitem__)
         # Strict ancestor/descendant closure rows: one linear sweep each
         # (row of u = OR over direct successors s of row(s) | bit(s)).
         desc = [0] * n
@@ -127,14 +118,18 @@ class BitsetDFG:
             anc[i] = row
         self.desc_bits = desc
         self.anc_bits = anc
-        # Adjacency rows + §4.2 masks.
-        dsucc = [0] * n
+        # Adjacency rows + §4.2 masks.  The value-ownership tables
+        # (external-read and dest value-id masks, (producer bit, value
+        # bit) pairs of incoming data edges, data-successor rows, output
+        # flags) are the DFG's own walk tables, shared with the ant
+        # construction: IN(S) = distinct ids over members' external
+        # reads plus crossing-edge reads; OUT(S) = distinct ids over
+        # escaping members' dests — matching input_values/output_values
+        # exactly, including non-SSA names with several producers.
         adj = [0] * n
         memory = ungroup = output = 0
         for uid in uids:
             i = index[uid]
-            for succ in dfg.data_successors(uid):
-                dsucc[i] |= 1 << index[succ]
             for other in dfg.neighbours(uid):
                 adj[i] |= 1 << index[other]
             op = dfg.op(uid)
@@ -142,65 +137,28 @@ class BitsetDFG:
                 memory |= 1 << i
             if not op.groupable:
                 ungroup |= 1 << i
-            if dfg.is_output(uid):
+            if tables.output_flags[i]:
                 output |= 1 << i
-        self.dsucc_bits = dsucc
+        dsucc = self.dsucc_bits = tables.dsucc_bits
         self.adj_bits = adj
         self.memory_bits = memory
         self.ungroupable_bits = ungroup
         self.forbidden_bits = memory | ungroup
         self.output_bits = output
-        # Value-ownership tables.  Value names get dense ids; per node:
-        # the externally-read value ids, the (producer bit, value id)
-        # pairs of incoming data edges, and the produced (dest) value
-        # ids.  IN(S) = distinct ids over members' external reads plus
-        # crossing-edge reads; OUT(S) = distinct ids over escaping
-        # members' dests — matching input_values/output_values exactly,
-        # including non-SSA names with several producers.
-        edges = dfg.graph.edges
-        in_names = set()
-        out_names = set()
-        for uid in uids:
-            in_names.update(dfg.external_inputs(uid))
-            for pred in dfg.data_predecessors(uid):
-                in_names.update(edges[pred, uid]["values"])
-            out_names.update(dfg.op(uid).dests)
-        in_vid = {name: k for k, name in enumerate(sorted(in_names))}
-        out_vid = {name: k for k, name in enumerate(sorted(out_names))}
-        self.n_in_values = len(in_vid)
-        self.n_out_values = len(out_vid)
-        self.ext_vids = [
-            tuple(in_vid[name] for name in dfg.external_inputs(uid))
-            for uid in uids]
-        self.pred_pairs = [
-            tuple((index[pred], in_vid[name])
-                  for pred in dfg.data_predecessors(uid)
-                  for name in edges[pred, uid]["values"])
-            for uid in uids]
-        self.dest_vids = [
-            tuple(out_vid[name] for name in dfg.op(uid).dests)
-            for uid in uids]
-        # Value-id bit masks for the scalar counters: distinct-value
-        # counting becomes OR + popcount.
-        self.ext_vid_mask = [
-            sum(1 << vid for vid in set(vids)) for vids in self.ext_vids]
-        self.pred_vid_bits = [
-            tuple((1 << p, 1 << vid) for p, vid in pairs)
-            for pairs in self.pred_pairs]
-        self.dest_vid_mask = [
-            sum(1 << vid for vid in set(vids)) for vids in self.dest_vids]
-        self.output_flags = [bool((output >> i) & 1) for i in range(n)]
         # One fused per-node tuple for the hot scalar path: a single
         # dict lookup per member replaces the index + per-table list
         # indexing.  Layout: (bit, desc, anc, ext vid mask, producer
         # bit mask, all-producer vid mask, (pbit, vbit) pairs,
         # is-output flag, data-successor row, dest vid mask).
+        ext = tables.ext_vid_mask
+        pairs = tables.pred_vid_bits
+        dest = tables.dest_vid_mask
+        flags = tables.output_flags
         self._scalar_nodes = {
-            uid: (1 << i, desc[i], anc[i], self.ext_vid_mask[i],
-                  sum(set(pbit for pbit, __ in self.pred_vid_bits[i])),
-                  sum(set(vbit for __, vbit in self.pred_vid_bits[i])),
-                  self.pred_vid_bits[i], self.output_flags[i],
-                  dsucc[i], self.dest_vid_mask[i])
+            uid: (1 << i, desc[i], anc[i], ext[i],
+                  sum(set(pbit for pbit, __ in pairs[i])),
+                  sum(set(vbit for __, vbit in pairs[i])),
+                  pairs[i], flags[i], dsucc[i], dest[i])
             for uid, i in index.items()}
 
     def _batch_tables(self):
@@ -227,28 +185,30 @@ class BitsetDFG:
                 return np.packbits(bools, bitorder="little").view(np.uint64)
 
             # IN terms: (reader bit row, producer index or -1, value id).
+            value_tables = self.tables
             ext_readers = {}
             pv_readers = {}
             for i in range(n):
-                for vid in self.ext_vids[i]:
+                for vid in self._iter_bits(value_tables.ext_vid_mask[i]):
                     ext_readers[vid] = ext_readers.get(vid, 0) | (1 << i)
-                for p, vid in self.pred_pairs[i]:
-                    key = (p, vid)
+                for pbit, vbit in value_tables.pred_vid_bits[i]:
+                    key = (pbit.bit_length() - 1, vbit.bit_length() - 1)
                     pv_readers[key] = pv_readers.get(key, 0) | (1 << i)
             terms = [(vid, -1, row) for vid, row in
                      sorted(ext_readers.items())]
             terms += [(vid, p, row) for (p, vid), row in
                       sorted(pv_readers.items(), key=lambda kv: kv[0])]
-            in_onehot = np.zeros((len(terms), self.n_in_values), dtype=f32)
+            in_onehot = np.zeros((len(terms), value_tables.n_in_values),
+                                 dtype=f32)
             for t, (vid, __, ___) in enumerate(terms):
                 in_onehot[t, vid] = 1.0
             out_src = []
             out_vids = []
             for i in range(n):
-                for vid in self.dest_vids[i]:
+                for vid in self._iter_bits(value_tables.dest_vid_mask[i]):
                     out_src.append(i)
                     out_vids.append(vid)
-            out_onehot = np.zeros((len(out_vids), self.n_out_values),
+            out_onehot = np.zeros((len(out_vids), value_tables.n_out_values),
                                   dtype=f32)
             for t, vid in enumerate(out_vids):
                 out_onehot[t, vid] = 1.0
@@ -350,35 +310,13 @@ class BitsetDFG:
     def io_counts(self, members):
         """``(|IN(S)|, |OUT(S)|)`` of one membership set."""
         row, idxs = self._row_and_idxs(members)
-        return (self._in_count(row, idxs), self._out_count(row, idxs))
+        return (self.tables.in_count(row, idxs), self.tables.out_count(row, idxs))
 
     def _iter_bits(self, row):
         while row:
             low = row & -row
             yield low.bit_length() - 1
             row ^= low
-
-    def _in_count(self, row, idxs):
-        ext = self.ext_vid_mask
-        pairs = self.pred_vid_bits
-        vids = 0
-        for i in idxs:
-            vids |= ext[i]
-            for pbit, vbit in pairs[i]:
-                if not row & pbit:
-                    vids |= vbit
-        return vids.bit_count()
-
-    def _out_count(self, row, idxs):
-        out = self.output_flags
-        dsucc = self.dsucc_bits
-        dest = self.dest_vid_mask
-        nrow = ~row
-        vids = 0
-        for i in idxs:
-            if out[i] or dsucc[i] & nrow:
-                vids |= dest[i]
-        return vids.bit_count()
 
     def is_connected(self, members):
         """True when ``members`` induce one weakly-connected component."""
@@ -407,11 +345,11 @@ class BitsetDFG:
         if row & self.ungroupable_bits:
             raise ConstraintError(
                 "candidate contains ungroupable operations")
-        n_in = self._in_count(row, idxs)
+        n_in = self.tables.in_count(row, idxs)
         if n_in > constraints.n_in:
             raise ConstraintError(
                 "IN(S)={} exceeds Nin={}".format(n_in, constraints.n_in))
-        n_out = self._out_count(row, idxs)
+        n_out = self.tables.out_count(row, idxs)
         if n_out > constraints.n_out:
             raise ConstraintError(
                 "OUT(S)={} exceeds Nout={}".format(n_out,
@@ -475,9 +413,9 @@ class BitsetDFG:
         row, idxs = self._row_and_idxs(members)
         if row & self.memory_bits or row & self.ungroupable_bits:
             return "cheap"
-        if self._in_count(row, idxs) > constraints.n_in:
+        if self.tables.in_count(row, idxs) > constraints.n_in:
             return "cheap"
-        if self._out_count(row, idxs) > constraints.n_out:
+        if self.tables.out_count(row, idxs) > constraints.n_out:
             return "cheap"
         return "legal" if self._convex_row(row, idxs) else "illegal"
 

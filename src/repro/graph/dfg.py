@@ -79,7 +79,8 @@ class DFG:
         # on mutation and left out of pickles entirely.
         self._skeleton = None
         # Walk tables (repro.graph.tables.DFGTables): data-edge value
-        # tuples and a topological rank, same lifecycle as _skeleton.
+        # tuples, a topological rank, the node index and the §4.2
+        # value-ownership tables, same lifecycle as _skeleton.
         # Kept out of _adj, which pickles: DFGs from older caches carry
         # the 8-tuple _adj and must keep loading.
         self._tables = None
@@ -225,9 +226,13 @@ class DFG:
         return adj[7][uid]
 
     def tables(self):
-        """The cached :class:`~repro.graph.tables.DFGTables` walk view."""
+        """The cached :class:`~repro.graph.tables.DFGTables` walk view.
+
+        Graph mutations drop it; direct ``output_nodes`` edits, which
+        change the output flags, are caught by a freshness check.
+        """
         tables = self._tables
-        if tables is None:
+        if tables is None or self.output_nodes != tables._outputs:
             tables = self._tables = DFGTables(self)
         return tables
 

@@ -290,106 +290,3 @@ class TestBatchCounters:
         explorer.explore_many(dfgs, jobs=1)
         counters = obs.metrics.snapshot()["counters"]
         assert "batch.ants_batched" not in counters
-
-
-# -- template-open path: clone instead of edge re-walk -----------------------
-
-class TestTemplateOpenNoRewalk:
-    """The per-operation tracker templates are walked once at runner
-    construction; every actual cluster open clones that state instead
-    of re-walking the operation's edges."""
-
-    def _counted_tracker(self, monkeypatch):
-        from repro.graph.analysis import SubgraphIOTracker
-        calls = []
-        original = SubgraphIOTracker.preview_add
-
-        def counted(self, uid, n_in_limit=None):
-            calls.append(uid)
-            return original(self, uid, n_in_limit=n_in_limit)
-
-        monkeypatch.setattr(SubgraphIOTracker, "preview_add", counted)
-        return calls
-
-    def _runner(self, dfg):
-        params = ExplorationParams()
-        explorer = AcoEngine(MachineConfig(2, "4/2"),
-                             params=params, seed=0,
-                             batch=DEFAULT_BATCH)
-        tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
-                  for uid in dfg.nodes}
-        state = ExplorationState(dfg, tables, params,
-                                 priority=explorer.priority)
-        return BatchedAntRunner(dfg, state, explorer.machine,
-                                explorer.technology,
-                                explorer.constraints)
-
-    def test_construction_walks_each_operation_once(self, monkeypatch):
-        dfg = _hot_dfgs("crc32", max_blocks=1)[0]
-        calls = self._counted_tracker(monkeypatch)
-        self._runner(dfg)
-        # Exactly one preview walk per operation — the template build.
-        assert sorted(calls) == sorted(dfg.nodes)
-
-    def test_opens_are_clone_only(self, monkeypatch):
-        dfg = _hot_dfgs("crc32", max_blocks=1)[0]
-        runner = self._runner(dfg)
-        calls = self._counted_tracker(monkeypatch)
-        opened = []
-        for uid, (template, needs) in runner._open_template.items():
-            io = template.clone()
-            opened.append(io)
-            assert io.members == {uid}
-            assert (needs.reads, needs.writes) == (io.n_in, io.n_out)
-        # Zero edge re-walks across every open; clones stay independent.
-        assert calls == []
-        opened[0].members.add(-1)
-        assert -1 not in runner._open_template[
-            sorted(runner._open_template)[0]][0].members
-
-    def test_batched_run_walks_only_on_scalar_fallbacks(self, monkeypatch):
-        """A full lockstep batch constructs no fresh tracker (the
-        edge-walking kind): every cluster open, including one after a
-        rejected join on the join path, is a template clone."""
-        from repro.graph.analysis import SubgraphIOTracker
-        dfg = _hot_dfgs("crc32", max_blocks=1)[0]
-        runner = self._runner(dfg)
-        built = []
-        original = SubgraphIOTracker.__init__
-
-        def counted(self, dfg):
-            built.append(dfg)
-            original(self, dfg)
-
-        monkeypatch.setattr(SubgraphIOTracker, "__init__", counted)
-        schedules = runner.run(random.Random(11), DEFAULT_BATCH)
-        opened = sum(len(schedule.clusters) for schedule in schedules)
-        assert opened > 0
-        assert runner.stat_scalar_fallbacks > 0
-        assert sum(schedule.stat_join_rejects for schedule in schedules)
-        assert built == []
-
-    def test_clone_beats_rewalk_microbench(self):
-        """Micro-benchmark backing: cloning the template is no slower
-        than re-walking the operation's edges (min-of-many, generous
-        2x guard against host noise)."""
-        import time
-        from repro.graph.analysis import SubgraphIOTracker
-        from repro.graph.fuzz import random_dfg
-        dfg = random_dfg(13, n_nodes=96)
-        seed_uid = max(dfg.nodes,
-                       key=lambda u: len(dfg.neighbours(u)))
-        template = SubgraphIOTracker(dfg)
-        template.add(seed_uid)
-
-        def best_of(fn, reps=2000):
-            best = float("inf")
-            for __ in range(reps):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        walk = best_of(lambda: SubgraphIOTracker(dfg).add(seed_uid))
-        clone = best_of(template.clone)
-        assert clone <= walk * 2.0

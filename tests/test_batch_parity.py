@@ -2,11 +2,14 @@
 
 ``tests/batch_oracle.py`` keeps the matrix step (successor matrix,
 masked ``cumsum`` roulette, staged first-fit probes) and the kernels it
-used.  Here the production runner and kernels are held to it: the same
-schedules and the same RNG position on random and real DFGs at widths
-1, 4 and 16 with trail/merit feedback between batches, the same
-reservation-table results, the same ASFU delays and the same shedding
-choice.
+used; it places through ``tests/placement_oracle.py``, the frozen
+tracker-based placement path with a separate first-fit and commit.
+Here the production runner and kernels are held to them: the same
+schedules — cluster ports, delays and growth ceilings, reservation rows
+and placement tallies included — and the same RNG position on random
+and real DFGs at widths 1, 4 and 16 with trail/merit feedback between
+batches, the same reservation-table results, the same ASFU delays and
+the same shedding choice.
 """
 
 import pickle
@@ -15,7 +18,10 @@ import random
 import pytest
 
 import batch_oracle as oracle
+import placement_oracle
+from repro import api
 from repro.config import ExplorationParams, ISEConstraints
+from repro.core import iteration
 from repro.core.batch import BatchedAntRunner
 from repro.core.candidate import ISECandidate
 from repro.core.contract import contract_candidate
@@ -27,11 +33,8 @@ from repro.core.trail import update_trails
 from repro.engines.aco import AcoEngine, _schedule_key
 from repro.errors import ConfigError, SchedulingError
 from repro.graph import DFG
-from repro.graph.analysis import (
-    SubgraphIOTracker,
-    input_values,
-    output_values,
-)
+from repro.graph.analysis import input_values, output_values
+from repro.graph.bitset import BITSET_ENV
 from repro.graph.fuzz import random_dfg
 from repro.hwlib import (
     DEFAULT_DATABASE,
@@ -44,6 +47,7 @@ from repro.ir.passes.pipeline import optimize
 from repro.isa.instruction import Operation
 from repro.sched import MachineConfig
 from repro.sched.resources import Needs, ReservationTable
+from repro.serve import schema
 from repro.workloads import get_workload
 
 MACHINES = (MachineConfig(2, "4/2"), MachineConfig(4, "8/4"),
@@ -63,13 +67,19 @@ def _tables(dfg):
 
 
 def _signature(schedule):
+    table = schedule.table
     return (
         dict(schedule.start),
         {uid: option.label for uid, option in schedule.chosen.items()},
-        sorted((sorted(c.members), c.start, c.cycles)
-               for c in schedule.clusters),
+        [(sorted(c.members), c.start, c.cycles, c.needs.reads,
+          c.needs.writes, c.delay_ns, c.min_ext_start)
+         for c in schedule.clusters],
         dict(schedule.order),
         schedule.makespan,
+        table._use[:, :table._hi].tolist(),
+        (table.stat_first_fit_scans, table.stat_scan_cycles,
+         schedule.stat_cluster_opens, schedule.stat_cluster_joins,
+         schedule.stat_join_rejects),
     )
 
 
@@ -156,33 +166,131 @@ class TestRunnerParity:
         dfg.add_data_edge(src, dst, "fresh")
         assert dfg.tables() is not tables
         assert "fresh" in dict(dfg.tables().data_out[src])[dst]
+        # A direct output_nodes edit is caught by the freshness check.
+        tables = dfg.tables()
+        uid = next(uid for uid in dfg.nodes if uid not in dfg.output_nodes)
+        dfg.output_nodes.add(uid)
+        assert dfg.tables() is not tables
+        assert dfg.tables().output_flags[dfg.tables().index[uid]]
 
 
-# -- join-path geometry read from the walk tables ------------------------------
+class TestKnobIndependence:
+    @pytest.mark.parametrize("workload", ["crc32", "blowfish"])
+    def test_bitset_switch_leaves_explore_unchanged(self, workload,
+                                                    monkeypatch):
+        """Construction reads the DFG's own value tables whatever
+        ``REPRO_BITSET`` says; the switch routes legality queries only,
+        and those give the same answers either way."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        digests = []
+        for value in (None, "0"):
+            if value is None:
+                monkeypatch.delenv(BITSET_ENV, raising=False)
+            else:
+                monkeypatch.setenv(BITSET_ENV, value)
+            result = api.explore(workload, profile="quick", iterations=10,
+                                 seed=4)
+            digests.append(schema.explore_digest(
+                schema.explore_payload(result)))
+        assert digests[0] == digests[1]
+
+
+# -- join-path geometry recounted over bit rows ---------------------------------
 
 class TestTrackerReadsWalkTables:
     def test_counts_match_the_set_formulas(self):
-        """Members added in random (not topological) order: every
-        preview equals ``IN``/``OUT`` of the grown set, names the
-        members consuming the new node, and leaves the tracker as it
-        was until committed."""
+        """Members added in random (not topological) order, on fuzz
+        DFGs whose value names have several producers: every join
+        preview's ``IN``/``OUT`` recount over the grown bit row equals
+        ``IN``/``OUT`` of the grown set, its member-consumes test names
+        the members consuming the new node, and the previewed cluster's
+        row is unchanged until the join commits."""
+        multi_producer = 0
         for seed in range(60):
             rng = random.Random(seed)
             dfg = random_dfg(seed, n_nodes=rng.randrange(4, 48))
+            producers = {}
+            for uid in dfg.nodes:
+                for value in dfg.op(uid).dests:
+                    producers.setdefault(value, set()).add(uid)
+            multi_producer += any(len(uids) > 1
+                                  for uids in producers.values())
+            tables = dfg.tables()
             order = rng.sample(dfg.nodes, rng.randrange(1, len(dfg) + 1))
-            tracker = SubgraphIOTracker(dfg)
+            members, row, idxs = set(), 0, ()
             for uid in order:
-                before = (tracker.n_in, tracker.n_out, set(tracker.members))
-                delta = tracker.preview_add(uid)
-                assert (tracker.n_in, tracker.n_out,
-                        tracker.members) == before
-                grown = tracker.members | {uid}
-                assert delta.n_in == len(input_values(dfg, grown))
-                assert delta.n_out == len(output_values(dfg, grown))
-                assert delta.succ_members == [
+                index = tables.index[uid]
+                grown_row, grown_idxs = row | (1 << index), idxs + (index,)
+                grown = members | {uid}
+                assert tables.in_count(grown_row, grown_idxs) == len(
+                    input_values(dfg, grown))
+                assert tables.out_count(grown_row, grown_idxs) == len(
+                    output_values(dfg, grown))
+                consumers = tables.dsucc_bits[index] & row
+                assert {member for member in members
+                        if consumers >> tables.index[member] & 1} == {
                     succ for succ in dfg.data_successors(uid)
-                    if succ in tracker.members]
-                tracker.commit(delta)
+                    if succ in members}
+                assert tables.in_count(row, idxs) == len(
+                    input_values(dfg, members))
+                members, row, idxs = grown, grown_row, grown_idxs
+        assert multi_producer
+
+    def test_rejected_join_leaves_the_cluster_unchanged(self):
+        """Random hardware/software walks over fuzz DFGs: a join probe
+        that rejects changes no cluster field, reservation row or
+        membership, and the walk's schedule equals the frozen tracker
+        placement's on the same walk."""
+        rejected = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            dfg = random_dfg(seed, n_nodes=rng.randrange(6, 40))
+            machine = MACHINES[seed % len(MACHINES)]
+            engine = AcoEngine(machine, seed=0)
+            tables = _tables(dfg)
+            schedule, frozen = (
+                module.IterationSchedule(dfg, machine, engine.technology,
+                                         engine.constraints)
+                for module in (iteration, placement_oracle))
+            try_join = schedule._try_join
+
+            def checked(cluster, uid, option):
+                before = _cluster_state(schedule, cluster)
+                if try_join(cluster, uid, option):
+                    return True
+                assert _cluster_state(schedule, cluster) == before
+                nonlocal rejected
+                rejected += 1
+                return False
+
+            schedule._try_join = checked
+            remaining = {uid: len(dfg.predecessors(uid))
+                         for uid in dfg.nodes}
+            ready = sorted(uid for uid, n in remaining.items() if not n)
+            while ready:
+                uid = ready.pop(rng.randrange(len(ready)))
+                option = rng.choice(tables[uid].hardware
+                                    + tables[uid].software)
+                for side in (schedule, frozen):
+                    if option.is_hardware:
+                        side.schedule_hardware(uid, option)
+                    else:
+                        side.schedule_software(uid, option)
+                for succ in dfg.successors(uid):
+                    remaining[succ] -= 1
+                    if not remaining[succ]:
+                        ready.append(succ)
+            assert _signature(schedule) == _signature(frozen)
+        assert rejected
+
+
+def _cluster_state(schedule, cluster):
+    table = schedule.table
+    return (set(cluster.members), cluster.row, cluster.idxs,
+            dict(cluster.option_of), cluster.start, cluster.cycles,
+            cluster.delay_ns, cluster.needs, dict(cluster.longest),
+            cluster.min_ext_start, table._use[:, :table._hi].tolist(),
+            dict(schedule.cluster_of))
 
 
 # -- reservation-table kernels ------------------------------------------------
@@ -193,8 +301,7 @@ def _random_table(rng, machine, placements):
     for __ in range(placements):
         needs = Needs(reads=rng.randrange(3), writes=rng.randrange(2),
                       fu_kind=rng.choice(["alu", "asfu", "mul"]))
-        cycle = table.first_fit(needs, not_before=rng.randrange(6))
-        table.place(cycle, needs)
+        cycle = table.reserve(needs, not_before=rng.randrange(6))
         placed.append((cycle, needs))
     return table, placed
 
@@ -265,20 +372,61 @@ class TestScan:
             stop = rng.randrange(table._hi + 3)
             expected = oracle.scan(table, start, stop, needs)
             before = table.stat_scan_cycles
-            assert table._scan(start, stop, needs) == expected
+            assert table._scan(start, stop,
+                               table._check_rows(needs)) == expected
             assert table.stat_scan_cycles - before == max(0, stop - start)
 
     def test_first_fit_scan_cycles(self):
-        """``first_fit`` keeps adding ``stop - start`` of each scan."""
+        """``reserve`` keeps adding ``stop - start`` of each first-fit
+        scan."""
         table = ReservationTable(MachineConfig(1, "2/1"))
         for cycle in range(4):
             table.place(cycle, Needs(reads=2, writes=1))
         table.place(5, Needs(reads=2, writes=1))
         needs = Needs(reads=1)
-        assert table.first_fit(needs) == 4
+        assert table.reserve(needs) == 4
         assert table.stat_scan_cycles == 5     # cycles 1..5 scanned
-        assert table.first_fit(needs, not_before=5) == 6
+        assert table.reserve(needs, not_before=5) == 6
         assert table.stat_scan_cycles == 5     # 6 is past the prefix
+        assert table.stat_first_fit_scans == 2
+
+
+class TestReserve:
+    def test_matches_first_fit_then_place(self):
+        """The fused reserve against the frozen table's ``first_fit``
+        then ``place``: the same cycles, rows and tallies, and the same
+        error on a demand the machine can never meet."""
+        rng = random.Random(13)
+        demands = [Needs(reads=reads, writes=writes, fu_kind=kind,
+                         issue=issue)
+                   for reads in range(4) for writes in range(3)
+                   for kind in ("alu", "asfu", "mul", "fpu")
+                   for issue in (0, 1)]
+        raised = 0
+        for trial in range(300):
+            machine = MACHINES[trial % len(MACHINES)]
+            table = ReservationTable(machine)
+            frozen = placement_oracle.ReservationTable(machine)
+            for __ in range(rng.randrange(1, 40)):
+                needs = rng.choice(demands)
+                not_before = rng.randrange(12)
+                try:
+                    expected = frozen.first_fit(needs, not_before=not_before)
+                except SchedulingError as error:
+                    with pytest.raises(SchedulingError) as got:
+                        table.reserve(needs, not_before=not_before)
+                    assert str(got.value) == str(error)
+                    raised += 1
+                    continue
+                frozen.place(expected, needs)
+                assert table.reserve(needs, not_before=not_before) == expected
+                assert table._hi == frozen._hi
+                assert (table._use[:, :table._hi].tolist()
+                        == frozen._use[:, :frozen._hi].tolist())
+                assert ((table.stat_first_fit_scans, table.stat_scan_cycles)
+                        == (frozen.stat_first_fit_scans,
+                            frozen.stat_scan_cycles))
+        assert raised
 
 
 # -- ASFU delay ordered by the DFG's topological rank ----------------------------

@@ -7,6 +7,7 @@ or method without a docstring, so documentation debt cannot creep in.
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import repro
@@ -73,3 +74,47 @@ def test_public_methods_documented():
                         module.__name__, cls_name, name))
     assert not missing, \
         "undocumented methods: {}".format(sorted(missing))
+
+
+# -- DESIGN.md §3 module map ---------------------------------------------------
+
+def _design_module_map():
+    """Paths (``src/repro/...``) the §3 module map of DESIGN.md names.
+
+    Inside the section's code block a line whose first word ends in
+    ``/`` opens a package one indentation step below the package it
+    sits in; the leading words ending in ``.py`` of any other line name
+    files of the package the line is indented under.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("## 3.", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    named = set()
+    packages = []                     # (indent, path) of open packages
+    for line in block.splitlines():
+        words = line.split()
+        if not words:
+            continue
+        indent = len(line) - len(line.lstrip())
+        while packages and packages[-1][0] >= indent:
+            packages.pop()
+        base = packages[-1][1] if packages else ""
+        if words[0].endswith("/"):
+            packages.append((indent, base + words[0]))
+            continue
+        for word in words:
+            if not word.endswith(".py"):
+                break
+            named.add(base + word)
+    return root, named
+
+
+def test_design_module_map_matches_the_tree():
+    root, named = _design_module_map()
+    on_disk = {path.relative_to(root).as_posix()
+               for path in (root / "src" / "repro").rglob("*.py")}
+    assert not on_disk - named, "missing from DESIGN.md §3: {}".format(
+        sorted(on_disk - named))
+    assert not named - on_disk, "named in DESIGN.md §3 but absent: {}".format(
+        sorted(named - on_disk))

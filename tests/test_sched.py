@@ -96,8 +96,9 @@ class TestReservationTable:
         needs = Needs(reads=1, writes=1)
         table.place(0, needs)
         table.place(1, needs)
-        assert table.first_fit(needs) == 2
-        assert table.first_fit(needs, not_before=5) == 5
+        assert table.reserve(needs) == 2
+        assert table.reserve(needs, not_before=5) == 5
+        assert table.usage(2)[1:3] == table.usage(5)[1:3] == (1, 1)
 
 
 class TestPriorities:
