@@ -444,6 +444,7 @@ class ISEDesignFlow:
         obs = self.obs
         with obs.timer("flow.evaluate"):
             plan = self.replacement_plan(explored)
+            match_hits, match_misses = plan.match_hits, plan.match_misses
             selection = select_ises(plan.merged, constraints,
                                     enable_sharing=enable_sharing)
             final_cycles = 0
@@ -463,6 +464,10 @@ class ISEDesignFlow:
                 final_cycles += instance.freq * (cycles + 1)
         report = FlowReport(explored, selection, final_cycles, block_results)
         if obs:
+            obs.count("replace.match_memo_hits",
+                      plan.match_hits - match_hits)
+            obs.count("replace.match_memo_misses",
+                      plan.match_misses - match_misses)
             obs.event("flow.evaluate",
                       baseline_cycles=report.baseline_cycles,
                       final_cycles=final_cycles,

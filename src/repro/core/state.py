@@ -73,45 +73,49 @@ class _VectorMap:
     """Mapping view over one per-(uid, label) slot vector.
 
     Behaves like the dict it replaces — ``state.trail[(uid, label)]``
-    reads and writes the backing array — while funnelling every
-    mutation through :meth:`ExplorationState._touch` so the convergence
-    flags stay coherent.
+    reads and writes the backing array — while marking every written
+    operation in the state's convergence dirty set, so the convergence
+    flags stay coherent.  It holds the state's slot index, slot keys
+    and dirty set rather than the state itself, so a dropped round
+    state is freed by reference counting, not left to the cyclic
+    collector.
     """
 
-    __slots__ = ("_state", "_vec")
+    __slots__ = ("_index", "_keys", "_dirty", "_vec")
 
-    def __init__(self, state, vec):
-        self._state = state
+    def __init__(self, index, keys, dirty, vec):
+        self._index = index
+        self._keys = keys
+        self._dirty = dirty
         self._vec = vec
 
     def __getitem__(self, key):
-        return float(self._vec[self._state._flat_index[key]])
+        return float(self._vec[self._index[key]])
 
     def __setitem__(self, key, value):
-        self._vec[self._state._flat_index[key]] = value
-        self._state._touch(key[0])
+        self._vec[self._index[key]] = value
+        self._dirty.add(key[0])
 
     def __contains__(self, key):
-        return key in self._state._flat_index
+        return key in self._index
 
     def __iter__(self):
-        return iter(self._state._flat_keys)
+        return iter(self._keys)
 
     def __len__(self):
-        return len(self._state._flat_keys)
+        return len(self._keys)
 
     def keys(self):
-        return list(self._state._flat_keys)
+        return list(self._keys)
 
     def values(self):
         return [float(v) for v in self._vec]
 
     def items(self):
-        return list(zip(self._state._flat_keys,
-                        (float(v) for v in self._vec)))
+        return list(zip(self._keys, (float(v) for v in self._vec)))
 
     def get(self, key, default=None):
-        index = self._state._flat_index.get(key)
+        index = self._index.get(key)
         if index is None:
             return default
         return float(self._vec[index])
@@ -174,8 +178,6 @@ class ExplorationState:
         self._merit_vec = np.array(merit_init, dtype=np.float64)
         self._sw_slots = np.array(sw_slots, dtype=np.intp)
         self._sw_cycles = np.array(sw_cycles, dtype=np.float64)
-        self.trail = _VectorMap(self, self._trail_vec)
-        self.merit = _VectorMap(self, self._merit_vec)
         # SP: the scheduling priority term of Eq. 1.  The paper uses the
         # number of child operations; §6 suggests trying mobility/depth,
         # so the function is pluggable.  Values are frozen for the round
@@ -197,12 +199,12 @@ class ExplorationState:
         # probability of the Eq. 3 test.
         self._best_sp = {}
         self._conv_dirty = set(self._uids)
+        self.trail = _VectorMap(self._flat_index, self._flat_keys,
+                                self._conv_dirty, self._trail_vec)
+        self.merit = _VectorMap(self._flat_index, self._flat_keys,
+                                self._conv_dirty, self._merit_vec)
 
     # -- cache invalidation -------------------------------------------------
-
-    def _touch(self, uid):
-        """Mark one operation's convergence flag stale."""
-        self._conv_dirty.add(uid)
 
     def _touch_all(self):
         """Mark every operation's convergence flag stale (bulk updates)."""

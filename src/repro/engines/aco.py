@@ -40,6 +40,7 @@ from ..core.merit import update_merits
 from ..core.parallel import parallel_map, resolve_jobs
 from ..core.state import ExplorationState
 from ..core.trail import update_trails
+from ..sched.units import block_skeleton
 from .base import ExplorationResult, ExplorerEngine
 
 
@@ -160,9 +161,16 @@ class AcoEngine(ExplorerEngine):
             cache = self._evalcache
             before = cache.stats() if cache is not None else None
             before_shared = cache.shared_hits if cache is not None else 0
+            skeleton = block_skeleton(dfg)
+            prefix_hits = skeleton.prefix_hits
+            prefix_misses = skeleton.prefix_misses
             with obs.timer("explore.restart"):
                 result = self._explore_once(dfg, rng, io_tables,
                                             restart=restart)
+            obs.count("sched.prefix_memo_hits",
+                      skeleton.prefix_hits - prefix_hits)
+            obs.count("sched.prefix_memo_misses",
+                      skeleton.prefix_misses - prefix_misses)
             if cache is not None:
                 hits, misses, entries = cache.stats()
                 obs.count("evalcache.hits", hits - before[0])

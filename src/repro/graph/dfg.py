@@ -44,7 +44,8 @@ class DFG:
     dropped): ``_adj`` (adjacency tuples), ``_tables``
     (:class:`~repro.graph.tables.DFGTables`), ``_skeleton`` (the
     scheduling skeleton, whose own memos swap whole tuples or store
-    deterministic values per key) and ``_bitset`` (the legality view,
+    deterministic values per key), ``_matches`` (the match memo, filled
+    per pattern with ``setdefault``) and ``_bitset`` (the legality view,
     whose numpy operands are likewise built once).  The evaluation
     cache's ``_evalcache_fp`` digest follows the same rule.  Only
     ``_adj`` pickles, and every lowered block has it after its base
@@ -84,6 +85,10 @@ class DFG:
         # Kept out of _adj, which pickles: DFGs from older caches carry
         # the 8-tuple _adj and must keep loading.
         self._tables = None
+        # Match memo (repro.graph.subgraph.MatchMemo): the replacement
+        # host graph and each pattern's legal matches, same lifecycle
+        # as _skeleton.
+        self._matches = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -91,6 +96,7 @@ class DFG:
         state["_bitset"] = None
         del state["_skeleton"]
         del state["_tables"]
+        del state["_matches"]
         state.pop("_evalcache_fp", None)
         return state
 
@@ -101,6 +107,15 @@ class DFG:
         self.__dict__.setdefault("_bitset", None)
         self._skeleton = None
         self._tables = None
+        self._matches = None
+
+    def _drop_caches(self):
+        """Forget every lazy view; the graph just changed."""
+        self._adj = None
+        self._bitset = None
+        self._skeleton = None
+        self._tables = None
+        self._matches = None
 
     def _adjacency(self):
         adj = self._adj
@@ -133,10 +148,7 @@ class DFG:
             raise IRError("duplicate DFG node uid {}".format(operation.uid))
         self.graph.add_node(operation.uid, op=operation)
         self._ext_inputs[operation.uid] = list(ext_inputs)
-        self._adj = None
-        self._bitset = None
-        self._skeleton = None
-        self._tables = None
+        self._drop_caches()
         return operation.uid
 
     def add_data_edge(self, src, dst, value):
@@ -148,19 +160,13 @@ class DFG:
             values.add(value)
         else:
             self.graph.add_edge(src, dst, kind="data", values={value})
-        self._adj = None
-        self._bitset = None
-        self._skeleton = None
-        self._tables = None
+        self._drop_caches()
 
     def add_order_edge(self, src, dst):
         """Add a memory-ordering edge (no value carried)."""
         if not self.graph.has_edge(src, dst):
             self.graph.add_edge(src, dst, kind="order", values=set())
-            self._adj = None
-            self._bitset = None
-            self._skeleton = None
-            self._tables = None
+            self._drop_caches()
 
     def op(self, uid):
         """The :class:`Operation` at node ``uid``."""

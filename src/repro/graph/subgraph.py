@@ -104,6 +104,36 @@ def match_host(dfg, exclude=frozenset()):
     return pattern_graph(dfg, uids), uids
 
 
+#: Match results one DFG's :class:`MatchMemo` holds before it is cleared.
+MATCH_MEMO_CAP = 256
+
+
+class MatchMemo:
+    """Pattern matches of one DFG: its :func:`match_host` and a dict of
+    match results that callers fill with ``setdefault``, clearing it
+    first once it holds :data:`MATCH_MEMO_CAP` entries.
+
+    Cached on the DFG like its scheduling skeleton: built on first use,
+    dropped on mutation and by direct ``output_nodes`` edits (legality
+    reads ``|OUT|``), never pickled.
+    """
+
+    __slots__ = ("host", "matches", "_outputs")
+
+    def __init__(self, dfg):
+        self.host = match_host(dfg)
+        self.matches = {}
+        self._outputs = frozenset(dfg.output_nodes)
+
+
+def match_memo(dfg):
+    """The cached :class:`MatchMemo` of ``dfg``."""
+    memo = dfg._matches
+    if memo is None or dfg.output_nodes != memo._outputs:
+        memo = dfg._matches = MatchMemo(dfg)
+    return memo
+
+
 def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
                  max_mappings=5000, max_matches=256, obs=None, host=None):
     """Occurrences of ``pattern`` in ``dfg`` as sets of node uids.

@@ -130,7 +130,11 @@ def list_schedule(graph, units, machine, priority="children"):
     Returns a verified :class:`Schedule`.  Ties between equal priorities
     break on ``str(uid)``.
     """
-    if topological_order(graph) is None:
+    if isinstance(graph, UnitGraph):
+        acyclic = graph.is_acyclic()
+    else:
+        acyclic = topological_order(graph) is not None
+    if not acyclic:
         raise SchedulingError("unit graph contains a cycle")
     if priority == "children" and isinstance(graph, UnitGraph):
         ranked = graph.children_ranked()

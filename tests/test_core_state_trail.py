@@ -1,5 +1,8 @@
 """Tests for the ACO state: trails, merits, cp/sp probabilities."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import ExplorationParams, ISEConstraints
@@ -56,6 +59,25 @@ class TestStateInit:
         state = make_state(dfg)
         assert state.option(0, "SW").is_software
         assert all(o.is_hardware for o in state.hardware_options(0))
+
+    def test_dropped_state_is_freed_without_the_cyclic_collector(self):
+        from repro.core.merit import update_merits
+
+        dfg = diamond_dfg()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            state = make_state(dfg)
+            update_merits(dfg, state, greedy_schedule(dfg, state, {1, 2}),
+                          ISEConstraints())
+            state.trail[(0, "SW")] = 1.0
+            assert state.round_memo is not None
+            ref = weakref.ref(state)
+            del state
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestProbabilities:

@@ -184,13 +184,18 @@ class TestTiedProposals:
 class TestRunsOnce:
     def test_matching_and_merging_once_across_budgets(self, monkeypatch):
         flow, explored = _explore("single-asfu")
+        # Lowered blocks are shared and their match memos outlive a
+        # plan, so count on fresh copies: every find_matches call is a
+        # match-memo miss, at most one per (block, pattern).
+        explored = pickle.loads(pickle.dumps(explored))
         matches = {}
         merges = []
         find_matches = replacement.find_matches
         merge = flow_module.merge_candidates
 
         def counting_find_matches(dfg, pattern, *args, **kwargs):
-            key = (id(dfg), id(pattern))
+            key = (id(dfg), tuple(pattern.nodes(data="opcode")),
+                   tuple(pattern.edges))
             matches[key] = matches.get(key, 0) + 1
             return find_matches(dfg, pattern, *args, **kwargs)
 
@@ -211,6 +216,7 @@ class TestRunsOnce:
                        if b.freq > 0 and b.explorable)
         assert len(merges) == 1
         assert matches and set(matches.values()) == {1}
+        assert len(matches) == plan.match_misses
         assert len(matches) <= segments * len(plan.merged)
 
 

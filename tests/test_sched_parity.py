@@ -348,10 +348,11 @@ class TestTrialScoring:
             assert (shared_key_bytes("scope", key) == shared_key_bytes(
                 "scope", _frozen_key(dfg, candidates, tables)))
 
-    def test_budget_charges_once_per_uncached_evaluation(self):
+    def test_budget_charges_once_per_uncached_evaluation(self, monkeypatch):
         from repro.engines.base import EvalBudget
         from repro.engines.aco import AcoEngine
 
+        monkeypatch.setenv("REPRO_EVALCACHE", "1")
         rng = random.Random(9)
         dfg = random_dfg(8, n_nodes=32)
         trials = _trials(dfg, rng, 5)
@@ -363,10 +364,11 @@ class TestTrialScoring:
             engine._evaluate(dfg, candidates, tables)
         assert budget.spent == engine.stat_evaluations == distinct
 
-    def test_memos_stay_out_of_pickles(self):
+    def test_memos_stay_out_of_pickles(self, monkeypatch):
         from repro.core.evalcache import dfg_fingerprint
         from repro.engines.aco import AcoEngine
 
+        monkeypatch.setenv("REPRO_EVALCACHE", "1")
         rng = random.Random(3)
         dfg = random_dfg(2, n_nodes=32)
         # The adjacency cache and the structural digest pickle with the
@@ -403,3 +405,165 @@ class TestTrialScoring:
         with pytest.raises(SchedulingError,
                            match="resources exhausted at cycle 0"):
             schedule.verify(MACHINES[0])
+
+
+# -- open prefix contractions ---------------------------------------------------
+
+def _hot_blocks():
+    """The crc32 and blowfish hot blocks at -O3."""
+    from repro.core.flow import ISEDesignFlow
+    from repro.ir.passes.pipeline import optimize
+    from repro.workloads import get_workload
+
+    dfgs = []
+    for name in ("crc32", "blowfish"):
+        program, args = get_workload(name).build()
+        flow = ISEDesignFlow(MACHINES[1], seed=0, max_blocks=3)
+        blocks = flow.profile_blocks(optimize(program, "O3"), args=args)
+        dfgs.extend(block.dfg for block in flow._select_hot_blocks(blocks))
+    return dfgs
+
+
+def _open_cases():
+    """Fresh fuzz and hot-block DFGs, each with several jointly legal
+    group lists: every prefix of a list is a prefix of the next trial."""
+    rng = random.Random(2020)
+    hot = [pickle.loads(pickle.dumps(dfg)) for dfg in _hot_blocks()]
+    fuzz = [random_dfg(seed, n_nodes=rng.choice((16, 32, 48, 82)))
+            for seed in range(16)]
+    for dfg in hot + fuzz:
+        for __ in range(3):
+            groups = _random_groups(dfg, rng)
+            if groups:
+                yield dfg, groups, rng
+
+
+def _graph_view(graph):
+    """Insertion order, neighbour tuples and the default rank order."""
+    return (list(graph.nodes),
+            [(uid, tuple(graph.successors(uid)),
+              tuple(graph.predecessors(uid))) for uid in graph.nodes],
+            list(graph.children_ranked()
+                 if isinstance(graph, UnitGraph) else sorted(
+                     graph.nodes, key=lambda uid: (-graph.out_degree(uid),
+                                                   str(uid)))))
+
+
+class TestOpenContraction:
+    def test_extensions_match_oracle(self):
+        checked = 0
+        hits = 0
+        for dfg, groups, rng in _open_cases():
+            cycles = {uid: rng.randint(1, 3) for uid in dfg.nodes}
+            skeleton = block_skeleton(dfg)
+            for software_cycles in (None, cycles):
+                before = skeleton.prefix_hits
+                # Trials: each prefix of the list plus one more group.
+                for count in range(1, len(groups) + 1):
+                    trial = groups[:count]
+                    graph, units = contract_dfg(
+                        dfg, trial, DEFAULT_TECHNOLOGY,
+                        software_cycles=software_cycles)
+                    ref_graph, ref_units = oracle.contract_dfg(
+                        dfg, trial, DEFAULT_TECHNOLOGY,
+                        software_cycles=software_cycles)
+                    assert _graph_view(graph) == _graph_view(ref_graph)
+                    assert _unit_view(units) == _unit_view(ref_units)
+                    machine = MACHINES[count % len(MACHINES)]
+                    assert list_schedule(graph, units, machine).start == \
+                        oracle.list_schedule(ref_graph, ref_units, machine)
+                    checked += 1
+                hits += skeleton.prefix_hits - before
+        assert checked > 100 and hits > 50
+
+    def test_prefix_hit_equals_cold_build(self):
+        for dfg, groups, rng in _open_cases():
+            cold = pickle.loads(pickle.dumps(dfg))
+            assert cold._skeleton is None
+            warm_skeleton = block_skeleton(dfg)
+            contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+            before = warm_skeleton.prefix_hits
+            warm_graph, warm_units = contract_dfg(dfg, groups,
+                                                  DEFAULT_TECHNOLOGY)
+            assert warm_skeleton.prefix_hits > before
+            cold_graph, cold_units = contract_dfg(cold, groups,
+                                                  DEFAULT_TECHNOLOGY)
+            assert block_skeleton(cold).prefix_hits == 0
+            assert _graph_view(warm_graph) == _graph_view(cold_graph)
+            assert _unit_view(warm_units) == _unit_view(cold_units)
+
+    def test_cycle_walk_agrees_with_the_oracle(self):
+        # Random node sets, convex or not, on a held-open prefix: the
+        # walk from the group's successors must reject exactly the sets
+        # whose joint contraction has a cycle.
+        rng = random.Random(4080)
+        outcomes = set()
+        for seed in range(24):
+            dfg = random_dfg(seed, n_nodes=rng.choice((16, 32, 48)))
+            option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+            for __ in range(6):
+                prefix = _random_groups(dfg, rng)
+                taken = set().union(*(members for members, __ in prefix))
+                free = [uid for uid in dfg.nodes if uid not in taken]
+                if len(free) < 2:
+                    continue
+                for __ in range(8):
+                    members = set(rng.sample(free, rng.randint(
+                        2, min(5, len(free)))))
+                    trial = prefix + [(members,
+                                       dict.fromkeys(members, option))]
+                    try:
+                        oracle.contract_dfg(dfg, trial, DEFAULT_TECHNOLOGY)
+                        expected = None
+                    except SchedulingError as error:
+                        expected = str(error)
+                    try:
+                        contract_dfg(dfg, trial, DEFAULT_TECHNOLOGY)
+                        raised = None
+                    except SchedulingError as error:
+                        raised = str(error)
+                    assert raised == expected
+                    outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_errors_after_an_open_prefix(self):
+        dfg = chain_dfg(6)
+        option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+
+        def group(*members):
+            return (set(members), dict.fromkeys(members, option))
+
+        cases = (
+            ([group(2, 3), group(3, 4)], "ISE groups overlap on nodes [3]"),
+            ([group(2, 3), group(1, 4)],
+             "contraction produced a cycle (non-convex ISE group)"),
+            # A bad prefix: a whole contraction reports the overlap of
+            # a later group before the cycle of an earlier one.
+            ([group(0, 2), group(2, 4)], "ISE groups overlap on nodes [2]"),
+            ([group(0, 2), group(4, 5)],
+             "contraction produced a cycle (non-convex ISE group)"),
+        )
+        skeleton = block_skeleton(dfg)
+        for groups, text in cases:
+            before = skeleton.prefix_hits
+            for __ in range(2):       # a cold prefix, then a memo hit
+                for module in (units_module, oracle):
+                    with pytest.raises(SchedulingError) as info:
+                        module.contract_dfg(dfg, groups, DEFAULT_TECHNOLOGY)
+                    assert str(info.value) == text
+            if groups[0][0] == {2, 3}:
+                assert skeleton.prefix_hits > before
+
+    def test_memo_is_capped_and_stays_out_of_pickles(self, monkeypatch):
+        monkeypatch.setattr(units_module, "OPEN_MEMO_CAP", 3)
+        dfg = chain_dfg(12)
+        dfg.nodes
+        before = pickle.dumps(dfg)
+        option = HardwareOption("HW", delay_ns=2.0, area=1.0)
+        groups = [({first, first + 1}, dict.fromkeys((first, first + 1),
+                                                    option))
+                  for first in range(0, 12, 2)]
+        for count in range(1, len(groups) + 1):
+            contract_dfg(dfg, groups[:count], DEFAULT_TECHNOLOGY)
+            assert len(block_skeleton(dfg).open_memo) <= 3
+        assert pickle.dumps(dfg) == before
