@@ -5,7 +5,7 @@ exploration time) with a 2000-candidate pool three ways:
 
 * the set-based reference (``is_legal_reference`` — the oracle),
 * the scalar bitset fast path (``BitsetDFG.is_legal``),
-* the batched row API (whole pool as one packed matrix op).
+* the batched row API (the whole pool packed to int rows, one call).
 
 Parity across all three is a **hard** assertion on every run.  The
 wall-clock contract — scalar and batched each ≥5x the reference on the

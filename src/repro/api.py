@@ -42,7 +42,7 @@ from .core.flow import ISEDesignFlow
 from .core.pool import shutdown_pools  # re-export: public teardown  # noqa: F401
 from .errors import ReproError
 from .eval.runner import PROFILES
-from .obs import NULL_OBSERVER, JsonlSink, Observer
+from .obs import NULL_OBSERVER, JsonlSink, Observer, collector_metrics
 from .sched.machine import PAPER_CASES, MachineConfig
 from .serve.client import ServiceClient, ServiceError  # noqa: F401  (re-export)
 from .workloads import get_workload
@@ -183,7 +183,9 @@ def explore(workload, *, issue=2, ports="4/2", profile="quick", jobs=None,
         Explicit effort overrides on top of the profile.
     observer:
         A caller-owned :class:`~repro.obs.Observer`; overrides
-        ``trace`` and is *not* closed by this call.
+        ``trace`` and is *not* closed by this call.  An enabled
+        observer also sees the cyclic collector's runs during the call
+        (:func:`~repro.obs.collector_metrics`).
     """
     obs, owned = _resolve_observer(trace, observer)
     bundle = get_workload(workload)
@@ -195,8 +197,9 @@ def explore(workload, *, issue=2, ports="4/2", profile="quick", jobs=None,
         flow_kwargs["max_blocks"] = max_blocks
     flow = ISEDesignFlow(MachineConfig(issue, ports), **flow_kwargs)
     try:
-        explored = flow.explore_application(program, args=args,
-                                            opt_level=opt)
+        with collector_metrics(obs):
+            explored = flow.explore_application(program, args=args,
+                                                opt_level=opt)
         metrics = obs.metrics.snapshot() if obs else None
     finally:
         if owned:
@@ -225,23 +228,25 @@ def evaluate(source, *, max_area=None, max_ises=None, enable_sharing=True,
     """
     obs, owned = _resolve_observer(trace, observer)
     try:
-        if isinstance(source, ExploreResult):
-            result = source
-        else:
-            result = explore(source, issue=issue, ports=ports,
-                             profile=profile, jobs=jobs, batch=batch,
-                             seed=seed, opt=opt, iterations=iterations,
-                             restarts=restarts, observer=obs,
-                             engine=engine)
-        flow = result.flow
-        constraints = ISEConstraints(max_area=max_area, max_ises=max_ises)
-        saved_obs = flow.obs
-        flow.obs = obs
-        try:
-            report = flow.evaluate(result.explored, constraints,
-                                   enable_sharing=enable_sharing)
-        finally:
-            flow.obs = saved_obs
+        with collector_metrics(obs):
+            if isinstance(source, ExploreResult):
+                result = source
+            else:
+                result = explore(source, issue=issue, ports=ports,
+                                 profile=profile, jobs=jobs, batch=batch,
+                                 seed=seed, opt=opt, iterations=iterations,
+                                 restarts=restarts, observer=obs,
+                                 engine=engine)
+            flow = result.flow
+            constraints = ISEConstraints(max_area=max_area,
+                                         max_ises=max_ises)
+            saved_obs = flow.obs
+            flow.obs = obs
+            try:
+                report = flow.evaluate(result.explored, constraints,
+                                       enable_sharing=enable_sharing)
+            finally:
+                flow.obs = saved_obs
         metrics = obs.metrics.snapshot() if obs else None
     finally:
         if owned:
@@ -311,13 +316,14 @@ def sweep(workloads, *, machines=None, budgets=None, opt="O3",
 
     obs, owned = _resolve_observer(trace, observer)
     try:
-        return run_sweep(
-            workloads=workloads,
-            machines=PAPER_CASES if machines is None else machines,
-            budgets=DEFAULT_BUDGETS if budgets is None else budgets,
-            opt=opt, profile=profile, seed=seed, engine=engine,
-            jobs=jobs, batch=batch, iterations=iterations,
-            restarts=restarts, shard=shard, obs=obs)
+        with collector_metrics(obs):
+            return run_sweep(
+                workloads=workloads,
+                machines=PAPER_CASES if machines is None else machines,
+                budgets=DEFAULT_BUDGETS if budgets is None else budgets,
+                opt=opt, profile=profile, seed=seed, engine=engine,
+                jobs=jobs, batch=batch, iterations=iterations,
+                restarts=restarts, shard=shard, obs=obs)
     finally:
         if owned:
             obs.close()

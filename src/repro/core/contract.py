@@ -54,15 +54,16 @@ def contract_candidate(dfg, candidate, io_tables):
     def mapped(uid):
         return super_uid if uid in members else uid
 
-    for src, dst, attrs in dfg.graph.edges(data=True):
-        u, v = mapped(src), mapped(dst)
-        if u == v:
-            continue
-        if attrs["kind"] == "data":
-            for value in attrs["values"]:
-                new_dfg.add_data_edge(u, v, value)
-        else:
-            new_dfg.add_order_edge(u, v)
+    for src, out in dfg.graph.succ.items():
+        for dst, attrs in out.items():
+            u, v = mapped(src), mapped(dst)
+            if u == v:
+                continue
+            if attrs["kind"] == "data":
+                for value in attrs["values"]:
+                    new_dfg.add_data_edge(u, v, value)
+            else:
+                new_dfg.add_order_edge(u, v)
 
     # Output nodes and final producers.
     for uid in dfg.output_nodes:

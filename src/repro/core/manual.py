@@ -43,7 +43,7 @@ def expression_of(candidate, uid, _depth=0):
     producer_of = {}
     for pred in dfg.data_predecessors(uid):
         if pred in candidate.members:
-            edge = dfg.graph.edges[pred, uid]
+            edge = dfg.graph.succ[pred][uid]
             for value in edge["values"]:
                 producer_of[value] = pred
     operands = []

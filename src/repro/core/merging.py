@@ -9,10 +9,7 @@ and (2) A and B never execute simultaneously — guaranteed on machines
 with a single ASFU issue slot, which is the evaluated configuration.
 """
 
-import networkx as nx
-from networkx.algorithms import isomorphism
-
-from ..graph.subgraph import contains_pattern, same_pattern
+from ..graph.subgraph import contains_pattern, opcode_matcher, same_pattern
 
 
 class MergedISE:
@@ -94,25 +91,29 @@ def _subgraph_cycles_ok(rep, rep_pattern, candidate, pattern):
     """Condition (1): candidate.cycles ≥ cycles of the identical
     subgraph inside the representative (measured with the
     representative's hardware options)."""
-    matcher = isomorphism.DiGraphMatcher(
-        rep_pattern, pattern,
-        node_match=lambda a, b: a["opcode"] == b["opcode"])
     rep_members = sorted(rep.members)
-    for mapping in matcher.subgraph_monomorphisms_iter():
-        mapped_uids = {rep_members[host_idx] for host_idx in mapping}
-        delay = _chain_delay(rep, mapped_uids)
-        sub_cycles = rep.technology.cycles_for_delay(delay)
-        if candidate.cycles >= sub_cycles:
-            return True
+    with opcode_matcher(rep_pattern, pattern) as matcher:
+        for mapping in matcher.subgraph_monomorphisms_iter():
+            mapped_uids = {rep_members[host_idx] for host_idx in mapping}
+            delay = _chain_delay(rep, mapped_uids)
+            sub_cycles = rep.technology.cycles_for_delay(delay)
+            if candidate.cycles >= sub_cycles:
+                return True
     return False
 
 
 def _chain_delay(rep, members):
-    graph = rep.dfg.graph
+    """Longest combinational path through ``members`` of ``rep``'s DFG.
+
+    Members are walked in the DFG's topological rank, so each one's
+    arrival reads finished predecessors; the maximum does not depend on
+    which topological order is walked.
+    """
+    dfg = rep.dfg
     longest = {}
-    for uid in nx.topological_sort(graph.subgraph(members)):
+    for uid in sorted(members, key=dfg.tables().rank.__getitem__):
         arrival = 0.0
-        for pred in graph.predecessors(uid):
+        for pred in dfg.predecessors(uid):
             if pred in members:
                 arrival = max(arrival, longest[pred])
         longest[uid] = arrival + rep.option_of[uid].delay_ns

@@ -131,7 +131,9 @@ def legal_matches(dfg, pattern, constraints, obs=None):
     counters on a miss only.  The member sets are shared: read-only.
     """
     memo = match_memo(dfg)
-    key = (tuple(pattern.nodes(data="opcode")), tuple(pattern.edges),
+    key = (tuple(pattern.nodes(data="opcode")),
+           tuple((src, dst) for src, out in pattern.succ.items()
+                 for dst in out),
            constraints.n_in, constraints.n_out,
            constraints.forbid_memory_ops)
     found = memo.matches.get(key)

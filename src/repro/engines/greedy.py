@@ -31,18 +31,16 @@ def _fringe(dfg, members):
 
 
 def _chain(dfg, members):
-    """Longest dependence chain inside ``members``, in operations."""
+    """Longest dependence chain inside ``members``, in operations.
+
+    One pass in the DFG's topological rank (a recursive closure would
+    refer to itself and wait for the cyclic collector)."""
     longest = {}
-
-    def depth(uid):
-        value = longest.get(uid)
-        if value is None:
-            value = 1 + max((depth(pred) for pred in dfg.predecessors(uid)
-                             if pred in members), default=0)
-            longest[uid] = value
-        return value
-
-    return max((depth(uid) for uid in members), default=0)
+    for uid in sorted(members, key=dfg.tables().rank.__getitem__):
+        longest[uid] = 1 + max((longest[pred]
+                                for pred in dfg.predecessors(uid)
+                                if pred in members), default=0)
+    return max(longest.values(), default=0)
 
 
 class GreedyEngine(ExplorerEngine):

@@ -26,7 +26,7 @@ def input_values(dfg, members):
         values.update(dfg.external_inputs(uid))
         for pred in dfg.data_predecessors(uid):
             if pred not in members:
-                values.update(dfg.graph.edges[pred, uid]["values"])
+                values.update(dfg.graph.succ[pred][uid]["values"])
     return values
 
 

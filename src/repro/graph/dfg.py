@@ -45,13 +45,18 @@ class DFG:
     (:class:`~repro.graph.tables.DFGTables`), ``_skeleton`` (the
     scheduling skeleton, whose own memos swap whole tuples or store
     deterministic values per key), ``_matches`` (the match memo, filled
-    per pattern with ``setdefault``) and ``_bitset`` (the legality view,
-    whose numpy operands are likewise built once).  The evaluation
-    cache's ``_evalcache_fp`` digest follows the same rule.  Only
-    ``_adj`` pickles, and every lowered block has it after its base
-    cycles are scheduled, so a pickle does not depend on which explores
-    touched the DFG before.  For the same reason the networkx graph
-    pickles without the views it caches on itself on first use.
+    per pattern with ``setdefault``) and ``_bitset`` (the legality
+    view).  The evaluation cache's ``_evalcache_fp`` digest follows the
+    same rule.  Only ``_adj`` pickles, and every lowered block has it
+    after its base cycles are scheduled, so a pickle does not depend on
+    which explores touched the DFG before.  For the same reason the
+    networkx graph pickles without the views it caches on itself on
+    first use.
+
+    None of these caches refers back to the DFG, and the walk code
+    reads networkx's adjacency dicts rather than its edge and degree
+    views (which hold their graph), so a DFG of a finished round dies
+    by reference count.
     """
 
     def __init__(self, label="", function=""):
@@ -120,23 +125,29 @@ class DFG:
     def _adjacency(self):
         adj = self._adj
         if adj is None:
+            # Read the adjacency dicts, not networkx's edge/degree
+            # views: those hold the graph and would put it in a
+            # reference cycle.
             graph = self.graph
-            edges = graph.edges
+            adjacency = graph.succ
             preds, succs, dpreds, dsuccs, ops, both = {}, {}, {}, {}, {}, {}
             for uid in graph.nodes:
                 ops[uid] = graph.nodes[uid]["op"]
                 pred = tuple(graph.predecessors(uid))
-                succ = tuple(graph.successors(uid))
+                out = adjacency[uid]
+                succ = tuple(out)
                 preds[uid] = pred
                 succs[uid] = succ
                 both[uid] = pred + succ
                 dpreds[uid] = tuple(
-                    p for p in pred if edges[p, uid]["kind"] == "data")
+                    p for p in pred if adjacency[p][uid]["kind"] == "data")
                 dsuccs[uid] = tuple(
-                    s for s in succ if edges[uid, s]["kind"] == "data")
+                    s for s in succ if out[s]["kind"] == "data")
             adj = self._adj = (preds, succs, dpreds, dsuccs,
                                tuple(sorted(graph.nodes)), ops,
-                               tuple(graph.edges), both)
+                               tuple((src, dst) for src in succs
+                                     for dst in succs[src]),
+                               both)
         return adj
 
     # -- structure ----------------------------------------------------------
@@ -154,7 +165,7 @@ class DFG:
     def add_data_edge(self, src, dst, value):
         """Add (or widen) a data edge carrying ``value`` from src to dst."""
         if self.graph.has_edge(src, dst):
-            edge = self.graph.edges[src, dst]
+            edge = self.graph.succ[src][dst]
             edge["kind"] = "data"
             values = edge.setdefault("values", set())
             values.add(value)

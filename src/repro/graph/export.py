@@ -39,9 +39,10 @@ def dfg_to_dot(dfg, highlight=(), title=None):
         elif dfg.is_output(uid):
             attrs.append("peripheries=2")
         lines.append("  n{} [{}];".format(uid, ", ".join(attrs)))
-    for src, dst, data in dfg.graph.edges(data=True):
-        style = "" if data["kind"] == "data" else " [style=dashed]"
-        lines.append("  n{} -> n{}{};".format(src, dst, style))
+    for src, out in dfg.graph.succ.items():
+        for dst, data in out.items():
+            style = "" if data["kind"] == "data" else " [style=dashed]"
+            lines.append("  n{} -> n{}{};".format(src, dst, style))
     lines.append("}")
     return "\n".join(lines)
 

@@ -6,6 +6,8 @@ by ISE merging (pattern containment) and by ISE replacement (finding
 further occurrences of a selected pattern in a DFG).
 """
 
+from contextlib import contextmanager
+
 import networkx as nx
 from networkx.algorithms import isomorphism
 
@@ -41,11 +43,48 @@ def hardware_components(dfg, chosen_hw):
     The thesis defines an ISE as "a set of connected/reachable
     operations that all use hardware implementation option"; each
     weakly-connected component of the induced subgraph is one candidate.
+
+    The walk is networkx's weakly-connected-components search on the
+    induced subgraph view, run over the DFG's adjacency snapshot: the
+    same start nodes, the same neighbour order and so the same member
+    sets in the same iteration order, without the view's reference
+    cycles.
     """
     chosen_hw = set(chosen_hw)
-    sub = dfg.graph.subgraph(chosen_hw)
-    return [set(component)
-            for component in nx.weakly_connected_components(sub)]
+    graph = dfg.graph
+    inside = set(uid for uid in chosen_hw if uid in graph)
+    # The view walks the smaller side: the node set itself when it is
+    # under half the graph, else the graph's node order.
+    if 2 * len(inside) < len(graph):
+        starts = inside
+    else:
+        starts = [uid for uid in graph if uid in inside]
+    successors = dfg.successors
+    predecessors = dfg.predecessors
+    components = []
+    seen = set()
+    for start in starts:
+        if start in seen:
+            continue
+        left = len(inside) - len(seen)
+        component = {start}
+        level = [start]
+        while level and len(component) < left:
+            frontier, level = level, []
+            for uid in frontier:
+                for near in successors(uid):
+                    if near in inside and near not in component:
+                        component.add(near)
+                        level.append(near)
+                for near in predecessors(uid):
+                    if near in inside and near not in component:
+                        component.add(near)
+                        level.append(near)
+                if len(component) == left:
+                    break
+        seen.update(component)
+        components.append(set(component))
+    return components
 
 
 def pattern_graph(dfg, members):
@@ -66,6 +105,27 @@ def pattern_graph(dfg, members):
     return pattern
 
 
+def _same_opcode(a, b):
+    return a["opcode"] == b["opcode"]
+
+
+@contextmanager
+def opcode_matcher(host, pattern):
+    """A VF2 matcher of ``pattern`` into ``host`` (opcode-labelled
+    DiGraphs from :func:`pattern_graph`) on equal opcodes.
+
+    The matcher and its search state refer to each other; leaving the
+    block drops the state, so both die by reference count instead of
+    waiting for the cyclic collector.
+    """
+    matcher = isomorphism.DiGraphMatcher(host, pattern,
+                                         node_match=_same_opcode)
+    try:
+        yield matcher
+    finally:
+        matcher.state = None
+
+
 def contains_pattern(host, pattern):
     """True when ``pattern`` occurs inside ``host`` (both opcode-labelled
     DiGraphs from :func:`pattern_graph`).  Containment is subgraph
@@ -73,21 +133,26 @@ def contains_pattern(host, pattern):
     merging uses to fold candidate B into candidate A."""
     if pattern.number_of_nodes() > host.number_of_nodes():
         return False
-    matcher = isomorphism.DiGraphMatcher(
-        host, pattern,
-        node_match=lambda a, b: a["opcode"] == b["opcode"])
-    return matcher.subgraph_is_monomorphic()
+    with opcode_matcher(host, pattern) as matcher:
+        return matcher.subgraph_is_monomorphic()
+
+
+def _degree_sequence(pattern):
+    """Sorted in+out degrees, read off the adjacency dicts: a DiGraph's
+    degree view (behind ``number_of_edges`` and ``is_isomorphic`` too)
+    holds the graph."""
+    succ, pred = pattern.succ, pattern.pred
+    return sorted(len(succ[node]) + len(pred[node]) for node in succ)
 
 
 def same_pattern(a, b):
     """Exact (iso) equality of two opcode-labelled patterns."""
     if a.number_of_nodes() != b.number_of_nodes():
         return False
-    if a.number_of_edges() != b.number_of_edges():
+    if _degree_sequence(a) != _degree_sequence(b):
         return False
-    matcher = isomorphism.DiGraphMatcher(
-        a, b, node_match=lambda x, y: x["opcode"] == y["opcode"])
-    return matcher.is_isomorphic()
+    with opcode_matcher(a, b) as matcher:
+        return next(matcher.isomorphisms_iter(), None) is not None
 
 
 def match_host(dfg, exclude=frozenset()):
@@ -159,33 +224,32 @@ def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
     from .bitset import bitset_view
 
     host, uids = host if host is not None else match_host(dfg, exclude)
-    matcher = isomorphism.DiGraphMatcher(
-        host, pattern,
-        node_match=lambda a, b: a["opcode"] == b["opcode"])
     view = bitset_view(dfg) if constraints is not None else None
     seen = set()
     matches = []
-    for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
-        if count >= max_mappings or len(matches) >= max_matches:
-            break
-        members = frozenset(uids[i] for i in mapping)
-        if members in seen:
-            continue
-        seen.add(members)
-        if constraints is not None:
-            if view is not None:
-                verdict = view.classify_match(members, constraints)
-                if obs:
-                    if verdict == "cheap":
-                        obs.count("match.prefilter_rejected")
-                    else:
+    with opcode_matcher(host, pattern) as matcher:
+        for count, mapping in enumerate(
+                matcher.subgraph_monomorphisms_iter()):
+            if count >= max_mappings or len(matches) >= max_matches:
+                break
+            members = frozenset(uids[i] for i in mapping)
+            if members in seen:
+                continue
+            seen.add(members)
+            if constraints is not None:
+                if view is not None:
+                    verdict = view.classify_match(members, constraints)
+                    if obs:
+                        if verdict == "cheap":
+                            obs.count("match.prefilter_rejected")
+                        else:
+                            obs.count("match.legality_checked")
+                    if verdict != "legal":
+                        continue
+                else:
+                    if obs:
                         obs.count("match.legality_checked")
-                if verdict != "legal":
-                    continue
-            else:
-                if obs:
-                    obs.count("match.legality_checked")
-                if not is_legal(dfg, members, constraints):
-                    continue
-        matches.append(set(members))
+                    if not is_legal(dfg, members, constraints):
+                        continue
+            matches.append(set(members))
     return matches

@@ -54,15 +54,15 @@ class DFGTables:
                  "dsucc_bits", "output_flags", "singleton_io", "_outputs")
 
     def __init__(self, dfg):
-        edges = dfg.graph.edges
+        succ = dfg.graph.succ
         uids = dfg.nodes
         self.data_in = {
-            uid: tuple((pred, tuple(edges[pred, uid]["values"]))
+            uid: tuple((pred, tuple(succ[pred][uid]["values"]))
                        for pred in dfg.data_predecessors(uid))
             for uid in uids}
         self.data_out = {
-            uid: tuple((succ, tuple(edges[uid, succ]["values"]))
-                       for succ in dfg.data_successors(uid))
+            uid: tuple((dst, tuple(succ[uid][dst]["values"]))
+                       for dst in dfg.data_successors(uid))
             for uid in uids}
         self.rank = _topological_rank(dfg, uids)
         self.preds = {uid: dfg.predecessors(uid) for uid in uids}

@@ -24,6 +24,7 @@ or directly::
 See docs/OBSERVABILITY.md for the event schema and overhead numbers.
 """
 
+from .collector import collector_metrics
 from .events import Event
 from .metrics import MetricsRegistry
 from .observer import NULL_OBSERVER, NullObserver, Observer, ensure_observer
@@ -40,6 +41,7 @@ __all__ = [
     "NullObserver",
     "Observer",
     "ProgressSink",
+    "collector_metrics",
     "ensure_observer",
     "load_trace",
     "render_summary",

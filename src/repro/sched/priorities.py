@@ -17,7 +17,9 @@ from .units import topological_order
 def children_count(graph, latency_of=None):
     """Paper default: SP = number of immediate successors."""
     del latency_of
-    return {node: graph.out_degree(node) for node in graph.nodes}
+    # Counted off successors(): a DiGraph's degree views hold the graph
+    # and would put it in a reference cycle.
+    return {node: len(tuple(graph.successors(node))) for node in graph.nodes}
 
 
 def depth(graph, latency_of=None):

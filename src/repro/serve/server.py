@@ -167,7 +167,10 @@ class ExploreServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (asyncio.CancelledError, ConnectionError, OSError):
+                # A shutdown that cancels this handler during cleanup
+                # ends it here: a handler task ending cancelled makes
+                # the streams callback log a CancelledError traceback.
                 pass
 
     async def _write(self, session, payload):

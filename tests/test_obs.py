@@ -30,6 +30,7 @@ from repro.obs import (
     NullObserver,
     Observer,
     ProgressSink,
+    collector_metrics,
     ensure_observer,
     load_trace,
     render_summary,
@@ -331,3 +332,56 @@ class TestCacheObservability:
                          disk_cache=ExplorationCache(enabled=False)) as ctx:
             assert ctx.cache_stats()["memory_misses"] == 0
         assert ctx._closed
+
+
+class TestCollectorMetrics:
+    """The cyclic collector as a layer: ``gc.collections.gen*`` counters
+    and the ``gc.pause`` timer, for enabled observers only."""
+
+    def test_counts_and_times_each_collection_once(self):
+        import gc
+        obs = Observer()
+        with collector_metrics(obs):
+            with collector_metrics(obs):       # nested: charged once
+                gc.collect()
+        assert obs.metrics.counters["gc.collections.gen2"] == 1
+        assert obs.metrics.timers["gc.pause"][0] == 1
+        gc.collect()                           # after the block: not seen
+        assert obs.metrics.counters["gc.collections.gen2"] == 1
+
+    def test_every_running_observer_is_charged(self):
+        import gc
+        first, second = Observer(), Observer()
+        with collector_metrics(first), collector_metrics(second):
+            gc.collect()
+        for obs in (first, second):
+            assert obs.metrics.counters["gc.collections.gen2"] == 1
+
+    def test_disabled_observer_installs_nothing(self):
+        import gc
+        before = list(gc.callbacks)
+        with collector_metrics(NULL_OBSERVER):
+            assert gc.callbacks == before
+        with collector_metrics(Observer(enabled=False)):
+            assert gc.callbacks == before
+        with collector_metrics(Observer()):
+            assert len(gc.callbacks) == len(before) + 1
+        assert gc.callbacks == before
+
+    def test_api_calls_report_collections(self):
+        import gc
+        from repro import api
+        threshold = gc.get_threshold()
+        gc.set_threshold(50)               # make collections certain
+        try:
+            obs = Observer()
+            explored = api.explore("crc32", iterations=4, restarts=1,
+                                   observer=obs)
+            api.evaluate(explored, max_area=80_000, observer=obs)
+        finally:
+            gc.set_threshold(*threshold)
+        counters = obs.metrics.counters
+        assert counters["gc.collections.gen0"] > 0
+        collections = sum(counters.get("gc.collections.gen{}".format(g), 0)
+                          for g in range(3))
+        assert obs.metrics.timers["gc.pause"][0] == collections

@@ -423,3 +423,38 @@ def test_api_serve_helper_round_trip():
             assert c.status()["max_inflight"] == 4
     finally:
         server.stop()
+
+
+def test_stop_during_connection_cleanup_logs_nothing(monkeypatch):
+    """Cancelling a handler inside its cleanup must not escape it: the
+    streams callback would read the cancelled task's exception and log
+    a traceback through the loop's exception handler."""
+    import asyncio
+    import threading
+
+    in_cleanup = threading.Event()
+
+    async def blocked_wait_closed(self):
+        in_cleanup.set()
+        await asyncio.sleep(3600)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                        blocked_wait_closed)
+    srv = ExploreServer(port=0)
+    srv.start_in_thread()
+    loop = srv._loop
+    reported = []
+    installed = threading.Event()
+
+    def install():
+        loop.set_exception_handler(
+            lambda __, context: reported.append(context))
+        installed.set()
+
+    loop.call_soon_threadsafe(install)
+    assert installed.wait(5.0)
+    sock = socket.create_connection((srv.host, srv.port))
+    sock.close()                   # handler hits EOF, enters cleanup
+    assert in_cleanup.wait(5.0)
+    srv.stop()
+    assert reported == []
