@@ -11,21 +11,19 @@ visible in one table.
 Built on the stable public API: one :func:`repro.sweep` call runs the
 whole (workload × machine × budget) grid — each cell explored once,
 every budget evaluated against the frozen exploration — and returns a
-frozen :class:`repro.SweepResult` with a content digest.  The same
-grid shards across hosts with ``shard=(i, n)`` (or ``repro sweep
---shard i/n`` on the CLI) and merges back bit-identically; point
-``REPRO_REMOTE_CACHE`` at a ``repro cache-server`` to share the
-evaluation work between the shards.
+frozen :class:`repro.SweepResult` with a content digest.  Pass
+``jobs=N`` (or ``repro sweep --jobs N`` on the CLI) to fan each
+exploration over the warm worker pool; the digest does not change.
 
 Usage::
 
-    python examples/design_space_sweep.py [--quick] [--shard i/n]
+    python examples/design_space_sweep.py [--quick]
 """
 
 import sys
 
 from repro import sweep
-from repro.dist.sweep import parse_shard, render_sweep
+from repro.dist.sweep import render_sweep
 from repro.eval import default_profile
 
 BUDGETS = (20_000, 80_000, 320_000)
@@ -35,17 +33,8 @@ WORKLOADS = ("adpcm", "jpeg")
 def main():
     argv = sys.argv[1:]
     profile = "quick" if "--quick" in argv else default_profile()
-    shard = None
-    if "--shard" in argv:
-        shard = parse_shard(argv[argv.index("--shard") + 1])
-    result = sweep(WORKLOADS, budgets=BUDGETS, profile=profile,
-                   seed=11, shard=shard)
-    if shard is None:
-        print(render_sweep(result))
-    else:
-        print("shard {}/{}: {} row(s) over {} cell(s)".format(
-            result.shard_index, result.shard_count,
-            len(result.rows), len(result.cells)))
+    result = sweep(WORKLOADS, budgets=BUDGETS, profile=profile, seed=11)
+    print(render_sweep(result))
     print("digest: {}".format(result.digest))
 
 

@@ -56,7 +56,7 @@ from .api import (
     shutdown_pools,
     sweep,
 )
-from .dist.sweep import SweepResult, SweepRow, merge_sweeps
+from .dist.sweep import SweepResult, SweepRow
 
 __version__ = "1.1.0"
 
@@ -90,7 +90,6 @@ __all__ = [
     "explore",
     "get_workload",
     "list_engines",
-    "merge_sweeps",
     "paper_machines",
     "serve",
     "shutdown_pools",

@@ -11,9 +11,8 @@ functions:
   :class:`ExploreResult`, or exploring from scratch when given a
   workload name), return a frozen :class:`SelectionResult`;
 * :func:`sweep` — run a (workload × machine × budget) design-space
-  grid, optionally one deterministic shard of it, returning a frozen
-  :class:`~repro.dist.sweep.SweepResult` whose merged digest is
-  bit-identical to a serial run.
+  grid, returning a frozen :class:`~repro.dist.sweep.SweepResult`
+  whose digest is bit-identical serial or pooled.
 
 Both accept ``trace=PATH`` to stream a JSON-lines observability trace
 (read back with ``python -m repro metrics PATH``) and ``observer=`` for
@@ -291,8 +290,7 @@ def serve(host="127.0.0.1", port=0, *, max_inflight=8,
 
 def sweep(workloads, *, machines=None, budgets=None, opt="O3",
           profile="quick", seed=0, engine="aco", jobs=None, batch=None,
-          iterations=None, restarts=None, shard=None, trace=None,
-          observer=None):
+          iterations=None, restarts=None, trace=None, observer=None):
     """Run a (workload × machine × budget) design-space sweep.
 
     Each (workload, machine) cell is explored once, then evaluated at
@@ -302,12 +300,9 @@ def sweep(workloads, *, machines=None, budgets=None, opt="O3",
 
     ``machines`` is a sequence of ``(ports, issue)`` pairs (default:
     the paper's §5.1 cases); ``budgets`` a sequence of area budgets in
-    µm² (default 20k/80k/320k).  ``shard=(index, count)`` runs only the
-    cells that hash onto that shard — partitioning is deterministic by
-    cell fingerprint, so ``count`` hosts each running their shard and
-    :func:`repro.dist.sweep.merge_sweeps` over the parts reproduce the
-    serial digest bit-identically.  Point ``REPRO_REMOTE_CACHE`` at a
-    ``repro cache-server`` to share evaluation work between shards.
+    µm² (default 20k/80k/320k).  ``jobs > 1`` fans each cell's
+    exploration over this host's warm worker pool; the rows are
+    bit-identical at any worker count.
 
     ``trace``/``observer`` behave as in :func:`explore`; sweep-level
     progress lands on the ``sweep.*`` counters and events.
@@ -323,7 +318,7 @@ def sweep(workloads, *, machines=None, budgets=None, opt="O3",
                 budgets=DEFAULT_BUDGETS if budgets is None else budgets,
                 opt=opt, profile=profile, seed=seed, engine=engine,
                 jobs=jobs, batch=batch, iterations=iterations,
-                restarts=restarts, shard=shard, obs=obs)
+                restarts=restarts, obs=obs)
     finally:
         if owned:
             obs.close()

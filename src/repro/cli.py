@@ -21,12 +21,8 @@ Commands
 ``metrics``
     Summarise a JSON-lines observability trace written via ``--trace``.
 ``sweep``
-    Run a (workload × machine × budget) design-space sweep — the whole
-    grid, one deterministic shard of it (``--shard i/n``), or a merge
-    of shard part files (``--merge part0.json part1.json …``).
-``cache-server``
-    Run the remote evalcache server that sweep shards share via
-    ``REPRO_REMOTE_CACHE=host:port``.
+    Run a (workload × machine × budget) design-space sweep and print
+    its reduction matrix (``--out`` writes the JSON payload).
 ``serve``
     Run the exploration service daemon: concurrent clients share one
     process's warm pool, per-scope batching and exploration memo (see
@@ -309,53 +305,26 @@ def _parse_machines(text):
 
 
 def _cmd_sweep(args):
-    from .dist.sweep import (
-        SweepResult,
-        merge_sweeps,
-        parse_shard,
-        render_sweep,
-    )
-    from .eval.persistence import load_json, save_json
+    from .dist.sweep import render_sweep
+    from .eval.persistence import save_json
 
-    if args.merge:
-        parts = [SweepResult.from_payload(load_json(path))
-                 for path in args.merge]
-        result = merge_sweeps(parts)
-        print(render_sweep(result))
-    else:
-        observer = _observer_from_args(args)
-        try:
-            result = api.sweep(
-                [w.strip() for w in args.workloads.split(",") if w.strip()],
-                machines=_parse_machines(args.machines),
-                budgets=tuple(float(b) for b in args.budgets.split(",")),
-                opt=args.opt, profile=args.profile, seed=args.seed,
-                engine=args.engine, jobs=args.jobs, batch=args.batch,
-                iterations=args.iterations, restarts=args.restarts,
-                shard=parse_shard(args.shard) if args.shard else None,
-                observer=observer)
-        finally:
-            _finish_observer(args, observer)
-        if result.shard_index is None:
-            print(render_sweep(result))
-        else:
-            print("shard {}/{}: {} row(s) over {} cell(s)".format(
-                result.shard_index, result.shard_count,
-                len(result.rows), len(result.cells)))
+    observer = _observer_from_args(args)
+    try:
+        result = api.sweep(
+            [w.strip() for w in args.workloads.split(",") if w.strip()],
+            machines=_parse_machines(args.machines),
+            budgets=tuple(float(b) for b in args.budgets.split(",")),
+            opt=args.opt, profile=args.profile, seed=args.seed,
+            engine=args.engine, jobs=args.jobs, batch=args.batch,
+            iterations=args.iterations, restarts=args.restarts,
+            observer=observer)
+    finally:
+        _finish_observer(args, observer)
+    print(render_sweep(result))
     print("digest   : {}".format(result.digest))
     if args.out:
         save_json(args.out, result.to_payload())
         print("written  : {}".format(args.out))
-    return 0
-
-
-def _cmd_cache_server(args):
-    from .dist.server import EvalCacheServer
-
-    server = EvalCacheServer(host=args.host, port=args.port,
-                             max_entries=args.max_entries,
-                             max_bytes=args.max_bytes)
-    server.run_blocking()
     return 0
 
 
@@ -431,7 +400,7 @@ def build_parser():
 
     sweep = sub.add_parser(
         "sweep",
-        help="design-space sweep (full grid, one shard, or a merge)")
+        help="design-space sweep over workloads, machines and budgets")
     sweep.add_argument("--workloads", default="adpcm,jpeg",
                        help="comma-separated workload names "
                             "(default adpcm,jpeg)")
@@ -459,41 +428,11 @@ def build_parser():
                        help="override the profile's ACO iterations")
     sweep.add_argument("--restarts", type=int, default=None,
                        help="override the profile's restarts per block")
-    sweep.add_argument("--shard", default=None, metavar="I/N",
-                       help="run only the cells hashing onto shard I "
-                            "of N (deterministic partition)")
     sweep.add_argument("--out", default=None, metavar="PATH",
-                       help="write the result payload as JSON (the "
-                            "input format of --merge)")
-    sweep.add_argument("--merge", nargs="+", default=None,
-                       metavar="PART",
-                       help="merge shard part files written via --out "
-                            "instead of running the sweep")
+                       help="write the result payload as JSON (read "
+                            "back with SweepResult.from_payload)")
     _add_obs_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    cache_server = sub.add_parser(
-        "cache-server",
-        help="run the remote evalcache server (REPRO_REMOTE_CACHE)")
-    from .dist.server import (
-        DEFAULT_MAX_BYTES,
-        DEFAULT_MAX_ENTRIES,
-        DEFAULT_PORT,
-    )
-
-    cache_server.add_argument("--host", default="127.0.0.1")
-    cache_server.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help="TCP port (0 picks a free one; default {})".format(
-            DEFAULT_PORT))
-    cache_server.add_argument(
-        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-        help="LRU entry bound (default {})".format(DEFAULT_MAX_ENTRIES))
-    cache_server.add_argument(
-        "--max-bytes", type=int, default=DEFAULT_MAX_BYTES,
-        help="LRU byte bound over values (default {})".format(
-            DEFAULT_MAX_BYTES))
-    cache_server.set_defaults(func=_cmd_cache_server)
 
     serve = sub.add_parser(
         "serve",

@@ -43,27 +43,11 @@ technologies (the evaluation grid, the single-issue baseline), so its
 keys are additionally scoped by the ``scope`` string the owning
 explorer passes in — without it a 2-issue cycle count could answer a
 4-issue probe and silently break bit-parity.
-
-Behind both sits the optional **remote tier**
-(:mod:`repro.dist.client`, enabled by ``REPRO_REMOTE_CACHE``): a miss
-in the local dict *and* the shared table finally probes the TCP cache
-server under the same scope-qualified key bytes, so cycle counts flow
-between the hosts of a sharded sweep.  Remote hits are tallied as
-``remote_hits`` and promoted into the nearer tiers — the local dict
-immediately, the shared table via the worker insert log.  Writes are
-batched: serial (non-worker) processes append to the client's insert
-log (flushed as one MPUT), workers rely on the pool parent folding
-their logs into both the shared table and the remote server between
-dispatches.  Every remote operation is best-effort — an unreachable
-server degrades to the lower tiers bit-identically (the memoised value
-is exactly what the evaluation would recompute).
 """
 
 import hashlib
 import os
 
-from ..dist.client import remote_cache
-from .parallel import in_worker
 from .pool import shared_key_bytes, worker_cache_note, worker_shared_cache
 
 #: Environment variable disabling the evaluation memo (set to ``0``).
@@ -84,11 +68,11 @@ def evalcache_enabled():
 def eval_scope(machine, technology):
     """The canonical scope string of one (machine, technology) pair.
 
-    Every shared-tier key (shm table, remote server) and every serve
-    session lane is qualified by this exact string, so "same scope"
-    means the same thing across all of them: a 2-issue cycle count can
-    never answer a 4-issue probe, and the exploration service batches
-    only requests whose evaluations are interchangeable.
+    Every shared-memory table key and every serve session lane is
+    qualified by this exact string, so "same scope" means the same
+    thing across both: a 2-issue cycle count can never answer a
+    4-issue probe, and the exploration service batches only requests
+    whose evaluations are interchangeable.
     """
     return "{}is|{}|{}|{!r}".format(
         machine.issue_width, machine.register_file.spec,
@@ -133,15 +117,13 @@ class EvalCache:
     dict, which never outlives its explorer.
     """
 
-    __slots__ = ("_entries", "hits", "misses", "shared_hits",
-                 "remote_hits", "scope")
+    __slots__ = ("_entries", "hits", "misses", "shared_hits", "scope")
 
     def __init__(self, scope=""):
         self._entries = {}
         self.hits = 0
         self.misses = 0
         self.shared_hits = 0
-        self.remote_hits = 0
         self.scope = scope
 
     def __len__(self):
@@ -157,38 +139,22 @@ class EvalCache:
         """Memoised cycles for ``key`` (None on miss).
 
         Tier order is nearest-first: the local dict, then the attached
-        shared-memory table (pool workers only), then the remote TCP
-        tier (when ``REPRO_REMOTE_CACHE`` is set).  A hit from a
-        farther tier is promoted into the nearer ones — the local dict
-        directly, the shared table via the worker insert log — so
-        repeat probes stay a dict lookup.
+        shared-memory table (pool workers only).  A shared hit is
+        promoted into the local dict, so repeat probes stay a dict
+        lookup.
         """
         value = self._entries.get(key)
         if value is not None:
             self.hits += 1
             return value
-        key_bytes = None
         shared = worker_shared_cache()
         if shared is not None:
-            key_bytes = shared_key_bytes(self.scope, key)
-            cycles = shared.lookup(key_bytes)
+            cycles = shared.lookup(shared_key_bytes(self.scope, key))
             if cycles is not None:
                 self.hits += 1
                 self.shared_hits += 1
                 if len(self._entries) < MAX_ENTRIES:
                     self._entries[key] = cycles
-                return cycles
-        remote = remote_cache()
-        if remote is not None:
-            if key_bytes is None:
-                key_bytes = shared_key_bytes(self.scope, key)
-            cycles = remote.get_cycles(key_bytes)
-            if cycles is not None:
-                self.hits += 1
-                self.remote_hits += 1
-                if len(self._entries) < MAX_ENTRIES:
-                    self._entries[key] = cycles
-                worker_cache_note(self.scope, key, cycles)
                 return cycles
         self.misses += 1
         return None
@@ -196,19 +162,13 @@ class EvalCache:
     def put(self, key, cycles):
         """Record an evaluation outcome in every reachable tier.
 
-        The local dict stores it directly; the shared and remote tiers
-        receive it through insert logs — the per-worker log the pool
-        parent folds between dispatches, or (serial processes only) the
-        remote client's batched MPUT log.
+        The local dict stores it directly; the shared tier receives it
+        through the per-worker insert log the pool parent folds between
+        dispatches.
         """
         if len(self._entries) < MAX_ENTRIES:
             self._entries[key] = cycles
         worker_cache_note(self.scope, key, cycles)
-        if type(cycles) is int and not in_worker():
-            remote = remote_cache()
-            if remote is not None:
-                remote.put_cycles(shared_key_bytes(self.scope, key),
-                                  cycles)
 
     def stats(self):
         """``(hits, misses, entries)`` snapshot."""
@@ -227,7 +187,6 @@ class EvalCache:
         self.hits = 0
         self.misses = 0
         self.shared_hits = 0
-        self.remote_hits = 0
 
     def __repr__(self):
         return "EvalCache({} entries, {} hits / {} misses)".format(

@@ -42,17 +42,6 @@ def _mark_worker():
     _in_worker = True
 
 
-def in_worker():
-    """True inside a pool worker process.
-
-    The cache stack uses this to route writes: a worker's evaluations
-    travel to the parent as insert logs (folded into the shared table
-    *and* the remote tier between dispatches), so the worker itself
-    must not also write them to the remote server directly.
-    """
-    return _in_worker
-
-
 def _available_cpus():
     """CPUs this process may use (mockable seam for the clamp tests)."""
     return os.cpu_count() or 1

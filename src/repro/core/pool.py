@@ -52,7 +52,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..dist.client import remote_cache
 from ..errors import ReproError
 from ..obs import capture
 
@@ -358,17 +357,7 @@ class WorkerPool:
             self.cache.preload(cache_rows)
         #: Lifetime tallies surfaced by the bench and the obs gauges.
         self.stats = {"dispatches": 0, "tasks": 0, "steals": 0,
-                      "broadcast_bytes": 0, "shared_inserts": 0,
-                      "remote_preload_rows": 0, "remote_folds": 0}
-        # Seed the shared table from the remote tier *before* forking,
-        # so every worker's first dispatch already sees sweep-wide
-        # warm entries.  Best-effort: an unreachable server preloads
-        # nothing and costs one (breaker-gated) round trip.
-        remote = remote_cache()
-        if remote is not None:
-            for key_bytes, cycles in remote.snapshot_cycle_rows():
-                if self.cache.insert(key_bytes, cycles):
-                    self.stats["remote_preload_rows"] += 1
+                      "broadcast_bytes": 0, "shared_inserts": 0}
         self._claim = self._ctx.Array("q", 2 * workers + 1, lock=False)
         self._lock = self._ctx.Lock()
         self._procs = []
@@ -500,19 +489,11 @@ class WorkerPool:
             self.shutdown()
             raise ReproError("pool dispatch lost task results")
         # Quiescent point: every worker is back on conn.recv(), so the
-        # parent may fold the write logs into the shared table — and,
-        # when a remote tier is configured, into the cache server in
-        # the same batched rhythm (workers never write remotely
-        # themselves).
+        # parent may fold the write logs into the shared table.
         inserts = 0
         for key_bytes, value in cache_log:
             if self.cache.insert(key_bytes, value):
                 inserts += 1
-        if cache_log:
-            remote = remote_cache()
-            if remote is not None:
-                remote.put_many_cycles(cache_log)
-                self.stats["remote_folds"] += 1
         self.stats["dispatches"] += 1
         self.stats["tasks"] += n
         self.stats["steals"] += steals
@@ -697,9 +678,6 @@ def shutdown_pools():
             _POOL = None
         if pool is not None:
             pool.shutdown()
-        remote = remote_cache()
-        if remote is not None:
-            remote.flush()
 
 
 atexit.register(shutdown_pools)

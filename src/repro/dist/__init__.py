@@ -1,73 +1,7 @@
-"""Distributed evaluation: remote evalcache tier + sharded sweeps.
+"""Grid sweeps and the service wire format.
 
-PR 3/4 established that block cycle counts are pure functions of
-(DFG, candidates, latencies) with stable content fingerprints — which
-makes them shareable across *machines*, not just across the pool
-workers of one host.  This package holds everything that crosses a
-host boundary:
-
-* :mod:`repro.dist.protocol` — the length-prefixed TCP wire format
-  (GET/PUT/MGET/MPUT batched lookups, STATS, SNAP);
-* :mod:`repro.dist.server` — the asyncio cache server
-  (``repro cache-server``): a scope-keyed LRU store, one process
-  serving every sweep host;
-* :mod:`repro.dist.client` — the synchronous client tier wired behind
-  the existing memory → shared-shm → disk stack.  Misses fall through,
-  hits promote into nearer tiers, puts are batched, and a circuit
-  breaker guarantees a dead server degrades to the local tiers instead
-  of stalling the hot path;
-* :mod:`repro.dist.sweep` — the shard dispatcher behind
-  :func:`repro.api.sweep` (``repro sweep``): a deterministic
-  fingerprint partition of the (workload × machine × budget) grid
-  across hosts whose merged result is bit-identical to a serial run.
-
-Nothing here is imported by the hot path unless ``REPRO_REMOTE_CACHE``
-is set; with the variable unset every hook costs one ``None`` check.
-
-:mod:`~repro.dist.server` and :mod:`~repro.dist.sweep` load lazily
-(PEP 562): the sweep module imports :mod:`repro.api`, which the cache
-hooks in :mod:`repro.core.evalcache` must not drag in at import time.
+* :mod:`repro.dist.sweep` — the (workload × machine × budget) sweep
+  behind :func:`repro.api.sweep` (``repro sweep``);
+* :mod:`repro.dist.protocol` — the length-prefixed frames the
+  exploration service (:mod:`repro.serve`) speaks.
 """
-
-import importlib
-
-from .client import (
-    REMOTE_ENV,
-    RemoteEvalCache,
-    remote_cache,
-    remote_counters,
-    remote_enabled,
-    reset_remote_cache,
-)
-
-__all__ = [
-    "EvalCacheServer",
-    "REMOTE_ENV",
-    "RemoteEvalCache",
-    "SweepResult",
-    "SweepRow",
-    "merge_sweeps",
-    "remote_cache",
-    "remote_counters",
-    "remote_enabled",
-    "reset_remote_cache",
-    "run_sweep",
-]
-
-_LAZY = {
-    "EvalCacheServer": ("repro.dist.server", "EvalCacheServer"),
-    "SweepResult": ("repro.dist.sweep", "SweepResult"),
-    "SweepRow": ("repro.dist.sweep", "SweepRow"),
-    "merge_sweeps": ("repro.dist.sweep", "merge_sweeps"),
-    "run_sweep": ("repro.dist.sweep", "run_sweep"),
-}
-
-
-def __getattr__(name):
-    try:
-        module, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name)
-        ) from None
-    return getattr(importlib.import_module(module), attr)

@@ -1,61 +1,26 @@
-"""The remote evalcache wire format: length-prefixed TCP frames.
+"""The exploration service wire format: length-prefixed TCP frames.
 
-Deliberately minimal — no pickle on the wire (a cache server must not
+Deliberately minimal — no pickle on the wire (a server must not
 execute arbitrary bytecode from its clients), no negotiation, no
-versioned handshake beyond a one-byte protocol tag per frame.  Both
-sides speak *frames*::
+versioned handshake beyond a one-byte tag per frame.  Both sides speak
+*frames*::
 
     !I payload_length | payload
 
-and every payload is ``op_byte + op-specific body``.  Integers are
-big-endian; keys and values are opaque byte strings (keys carry the
-same scope-qualified bytes as the shared-memory tier, values are either
-an 8-byte cycle count or a pickled exploration blob the *client* chose
-to store — the server never interprets them).
-
-Requests
---------
-``GET``    ``!I keylen | key``
-``MGET``   ``!I count | count * (!I keylen | key)``
-``PUT``    ``!I keylen | key | !I vallen | value``
-``MPUT``   ``!I count | count * (!I keylen | key | !I vallen | value)``
-``STATS``  (empty body)
-``SNAP``   ``!I limit | !I max_value_len``
-
-Responses (first body byte is a status tag)
--------------------------------------------
-``OK + GET``    ``found_byte [| !I vallen | value]``
-``OK + MGET``   ``!I count | count * (found_byte [| !I vallen | value])``
-``OK + PUT``    ``!I inserted``
-``OK + MPUT``   ``!I inserted``
-``OK + STATS``  ``!I len | json``
-``OK + SNAP``   ``!I count | count * (!I keylen | key | !I vallen | value)``
-``ERR``         ``!I len | utf-8 message``
-
-Anything malformed — a frame longer than :data:`MAX_FRAME`, a
-truncated body, an unknown op — raises :class:`ProtocolError`; the
-server answers ``ERR`` and drops the connection, the client counts an
-error and trips its circuit breaker.  Neither side ever crashes the
-exploration that is using the cache.
-
-The serve extension
--------------------
-The exploration service (:mod:`repro.serve`) rides the same framing
-discipline with one additional request op and one additional response
-tag, so both servers share the length-prefix/oversize/truncation
-validation above:
+Integers are big-endian.  Requests and responses carry a client-chosen
+request id and one UTF-8 JSON object:
 
 ``SERVE``  request  ``!Q request_id | !I len | utf-8 JSON object``
 ``OK``     response ``!Q request_id | !I len | utf-8 JSON object``
 ``ERR``    response ``!Q request_id | !I len | utf-8 JSON object``
 ``EVENT``  response ``!Q request_id | !I len | utf-8 JSON object``
 
-``request_id`` is chosen by the client and echoed on every response,
-so one connection can multiplex any number of in-flight requests; the
-``EVENT`` tag streams observability records (framed JSONL) for a
-request that is still running.  The JSON body must decode to an
-object; anything else is a :class:`ProtocolError` exactly like a
-malformed cache frame.
+``request_id`` is echoed on every response, so one connection can
+multiplex any number of in-flight requests; the ``EVENT`` tag streams
+observability records (framed JSONL) for a request that is still
+running.  Anything malformed — a frame longer than :data:`MAX_FRAME`,
+a truncated body, trailing bytes, an unknown tag, a body that is not a
+JSON object — raises :class:`ProtocolError`.
 """
 
 import json
@@ -64,17 +29,10 @@ import struct
 from ..errors import ReproError
 
 #: Per-frame ceiling; a frame above this is treated as corruption, not
-#: data (the largest legitimate payloads are exploration blobs, capped
-#: well below this by the client).
+#: data.
 MAX_FRAME = 64 * 1024 * 1024
 
-# Request opcodes (one byte each).
-OP_GET = b"G"
-OP_MGET = b"M"
-OP_PUT = b"P"
-OP_MPUT = b"B"
-OP_STATS = b"S"
-OP_SNAP = b"N"
+# Request opcode (one byte).
 OP_SERVE = b"Q"
 
 # Response status tags.
@@ -84,11 +42,10 @@ STATUS_EVENT = b"V"
 
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
-_I64 = struct.Struct("!q")
 
 
 class ProtocolError(ReproError):
-    """A malformed, truncated or oversized remote-cache frame."""
+    """A malformed, truncated or oversized frame."""
 
 
 def pack_frame(payload):
@@ -112,18 +69,6 @@ def frame_length(prefix):
     return length
 
 
-def pack_cycles(cycles):
-    """An int cycle count as its 8-byte wire value."""
-    return _I64.pack(cycles)
-
-
-def unpack_cycles(value):
-    """Inverse of :func:`pack_cycles` (None for non-cycle values)."""
-    if len(value) != 8:
-        return None
-    return _I64.unpack(value)[0]
-
-
 class _Reader:
     """Cursor over one payload with truncation-checked reads."""
 
@@ -141,11 +86,8 @@ class _Reader:
         self.pos = end
         return chunk
 
-    def u32(self):
-        return _U32.unpack(self.take(4))[0]
-
     def chunk(self):
-        return bytes(self.take(self.u32()))
+        return bytes(self.take(_U32.unpack(self.take(4))[0]))
 
     def done(self):
         if self.pos != len(self.data):
@@ -157,196 +99,6 @@ class _Reader:
 def _chunk(data):
     return _U32.pack(len(data)) + data
 
-
-# -- request encoding / decoding -------------------------------------------
-
-def encode_get(key):
-    """Request payload asking for one cycle-count/blob by key."""
-    return OP_GET + _chunk(key)
-
-
-def encode_mget(keys):
-    """Request payload probing many keys in one round trip."""
-    parts = [OP_MGET, _U32.pack(len(keys))]
-    parts.extend(_chunk(key) for key in keys)
-    return b"".join(parts)
-
-
-def encode_put(key, value):
-    """Request payload storing one ``key -> value`` pair."""
-    return OP_PUT + _chunk(key) + _chunk(value)
-
-
-def encode_mput(pairs):
-    """Request payload storing many pairs in one round trip."""
-    parts = [OP_MPUT, _U32.pack(len(pairs))]
-    for key, value in pairs:
-        parts.append(_chunk(key))
-        parts.append(_chunk(value))
-    return b"".join(parts)
-
-
-def encode_stats():
-    """Request payload asking for the server's stats snapshot."""
-    return OP_STATS
-
-
-def encode_snap(limit, max_value_len):
-    """Request payload asking for up to ``limit`` small entries."""
-    return OP_SNAP + _U32.pack(limit) + _U32.pack(max_value_len)
-
-
-def decode_request(payload):
-    """``(op, args)`` of one request payload (server side).
-
-    ``args`` is the op-specific tuple: ``(key,)`` for GET, ``(keys,)``
-    for MGET, ``(key, value)`` for PUT, ``(pairs,)`` for MPUT, ``()``
-    for STATS and ``(limit, max_value_len)`` for SNAP.
-    """
-    if not payload:
-        raise ProtocolError("empty request frame")
-    op = payload[:1]
-    reader = _Reader(payload[1:])
-    if op == OP_GET:
-        args = (reader.chunk(),)
-    elif op == OP_MGET:
-        args = ([reader.chunk() for __ in range(reader.u32())],)
-    elif op == OP_PUT:
-        args = (reader.chunk(), reader.chunk())
-    elif op == OP_MPUT:
-        args = ([(reader.chunk(), reader.chunk())
-                 for __ in range(reader.u32())],)
-    elif op == OP_STATS:
-        args = ()
-    elif op == OP_SNAP:
-        args = (reader.u32(), reader.u32())
-    else:
-        raise ProtocolError("unknown request op {!r}".format(op))
-    reader.done()
-    return op, args
-
-
-# -- response encoding / decoding ------------------------------------------
-
-def encode_found(value):
-    """One GET-style result cell: found flag plus the value if any."""
-    if value is None:
-        return b"\x00"
-    return b"\x01" + _chunk(value)
-
-
-def encode_ok(body=b""):
-    """Success response: OK status byte plus an op-specific body."""
-    return STATUS_OK + body
-
-
-def encode_err(message):
-    """Error response carrying a human-readable reason string."""
-    return STATUS_ERR + _chunk(message.encode("utf-8", "replace"))
-
-
-def encode_mget_response(values):
-    """MGET response: one found-cell per probed key, in order."""
-    parts = [_U32.pack(len(values))]
-    parts.extend(encode_found(value) for value in values)
-    return encode_ok(b"".join(parts))
-
-
-def encode_count_response(count):
-    """PUT/MPUT response acknowledging how many pairs were taken."""
-    return encode_ok(_U32.pack(count))
-
-
-def encode_snap_response(pairs):
-    """SNAP response: the sampled ``(key, value)`` pairs."""
-    parts = [_U32.pack(len(pairs))]
-    for key, value in pairs:
-        parts.append(_chunk(key))
-        parts.append(_chunk(value))
-    return encode_ok(b"".join(parts))
-
-
-def _decode_found(reader):
-    flag = reader.take(1)
-    if flag == b"\x00":
-        return None
-    if flag != b"\x01":
-        raise ProtocolError("malformed found flag {!r}".format(flag))
-    return reader.chunk()
-
-
-def _open_response(payload):
-    if not payload:
-        raise ProtocolError("empty response frame")
-    status = payload[:1]
-    reader = _Reader(payload[1:])
-    if status == STATUS_ERR:
-        raise ProtocolError(
-            "server error: {}".format(
-                reader.chunk().decode("utf-8", "replace")))
-    if status != STATUS_OK:
-        raise ProtocolError("unknown response status {!r}".format(status))
-    return reader
-
-
-def decode_get_response(payload):
-    """Value bytes of a GET response, or ``None`` on a miss."""
-    reader = _open_response(payload)
-    value = _decode_found(reader)
-    reader.done()
-    return value
-
-
-def decode_mget_response(payload, expected):
-    """Values list of an MGET response; must answer every key."""
-    reader = _open_response(payload)
-    count = reader.u32()
-    if count != expected:
-        raise ProtocolError(
-            "MGET answered {} values for {} keys".format(count, expected))
-    values = [_decode_found(reader) for __ in range(count)]
-    reader.done()
-    return values
-
-
-def decode_count_response(payload):
-    """Acknowledged-pair count of a PUT/MPUT response."""
-    reader = _open_response(payload)
-    count = reader.u32()
-    reader.done()
-    return count
-
-
-def decode_stats_response(payload):
-    """Stats dict of a STATS response (JSON body)."""
-    import json
-
-    reader = _open_response(payload)
-    body = reader.chunk()
-    reader.done()
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        raise ProtocolError("malformed STATS body") from None
-
-
-def encode_stats_response(stats):
-    """STATS response: the stats dict as a canonical JSON body."""
-    import json
-
-    return encode_ok(_chunk(json.dumps(stats, sort_keys=True).encode()))
-
-
-def decode_snap_response(payload):
-    """``(key, value)`` pair list of a SNAP response."""
-    reader = _open_response(payload)
-    pairs = [(reader.chunk(), reader.chunk())
-             for __ in range(reader.u32())]
-    reader.done()
-    return pairs
-
-
-# -- the serve extension -----------------------------------------------------
 
 def _json_chunk(body):
     try:
@@ -408,9 +160,9 @@ def encode_serve_event(request_id, record):
 def decode_serve_response(payload):
     """``(kind, request_id, body)`` of one serve response (client side).
 
-    ``kind`` is ``"ok"``, ``"err"`` or ``"event"``; unlike the cache
-    decoders an ``ERR`` does *not* raise here — the error body carries
-    a structured ``code`` the client maps onto its own exceptions.
+    ``kind`` is ``"ok"``, ``"err"`` or ``"event"``; an ``ERR`` does
+    *not* raise here — the error body carries a structured ``code`` the
+    client maps onto its own exceptions.
     """
     if not payload:
         raise ProtocolError("empty response frame")

@@ -14,7 +14,6 @@ import json
 import os
 import pickle
 
-from ..dist.client import remote_cache
 from ..errors import ReproError
 from ..obs import ensure_observer
 
@@ -28,10 +27,6 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 #: Bump when the pickled ``ExploredApplication`` layout changes; stale
 #: schema versions simply miss instead of unpickling garbage.
 _CACHE_SCHEMA = 2
-
-#: Remote-tier key prefix for exploration bundles, keeping them apart
-#: from the evalcache's scope-qualified cycle keys in the same server.
-_REMOTE_PREFIX = b"explored|"
 
 
 def _max_bytes_from_env():
@@ -65,12 +60,6 @@ class ExplorationCache:
     mtime, refreshed on hit) are evicted until the directory fits the
     budget again.  The entry just written is never its own victim, so
     one oversized bundle still caches.
-
-    When the remote tier is configured (``REPRO_REMOTE_CACHE``) the
-    disk cache also writes bundles through to the cache server and
-    falls back to it on a local miss — a sweep shard can then serve
-    whole explorations another host already paid for.  Remote hits are
-    promoted onto the local disk; all remote traffic is best-effort.
     """
 
     def __init__(self, directory=None, enabled=None, obs=None,
@@ -93,17 +82,13 @@ class ExplorationCache:
         self.stores = 0
         self.stored_bytes = 0
         self.evictions = 0
-        self.remote_hits = 0
-        self.remote_stores = 0
 
     @property
     def stats(self):
         """Hit/miss/store tallies of this cache instance."""
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "stored_bytes": self.stored_bytes,
-                "evictions": self.evictions,
-                "remote_hits": self.remote_hits,
-                "remote_stores": self.remote_stores}
+                "evictions": self.evictions}
 
     @staticmethod
     def key(**fields):
@@ -124,10 +109,7 @@ class ExplorationCache:
     def load(self, key):
         """The cached payload, or ``None`` on any kind of miss.
 
-        Tier order: local disk first (a hit refreshes the file's LRU
-        recency), then the remote cache server when one is configured;
-        a remote hit is unpickled defensively, promoted onto the local
-        disk and served.
+        A hit refreshes the file's LRU recency.
         """
         if not self.enabled:
             return None
@@ -149,38 +131,14 @@ class ExplorationCache:
                 obs.count("cache.disk_hit")
                 obs.event("cache", op="load", status="hit", key=key)
             return payload
-        payload = self._load_remote(key)
-        if payload is not None:
-            return payload
         self.misses += 1
         if obs:
             obs.count("cache.disk_miss")
             obs.event("cache", op="load", status="miss", key=key)
         return None
 
-    def _load_remote(self, key):
-        """Remote fallback: fetch, unpickle defensively, promote."""
-        remote = remote_cache()
-        if remote is None:
-            return None
-        blob = remote.get_blob(_REMOTE_PREFIX + key.encode())
-        if blob is None:
-            return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            # A corrupt or stale-schema blob is a miss, never a crash.
-            return None
-        self.remote_hits += 1
-        obs = self.obs
-        if obs:
-            obs.count("remote.disk_hit")
-            obs.event("cache", op="load", status="remote_hit", key=key)
-        self._write_file(key, blob)
-        return payload
-
     def store(self, key, payload):
-        """Atomically persist ``payload`` under ``key`` (all tiers)."""
+        """Atomically persist ``payload`` under ``key``."""
         if not self.enabled:
             return
         self.stores += 1
@@ -192,15 +150,9 @@ class ExplorationCache:
             blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         except Exception:
             return                     # unpicklable payloads never cache
-        self._write_file(key, blob, count_bytes=True)
-        remote = remote_cache()
-        if remote is not None and remote.put_blob(
-                _REMOTE_PREFIX + key.encode(), blob):
-            self.remote_stores += 1
-            if obs:
-                obs.count("remote.disk_store")
+        self._write_file(key, blob)
 
-    def _write_file(self, key, blob, count_bytes=False):
+    def _write_file(self, key, blob):
         """Best-effort atomic write of one entry, then LRU eviction."""
         os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(key)
@@ -209,12 +161,11 @@ class ExplorationCache:
             with open(scratch, "wb") as handle:
                 handle.write(blob)
             os.replace(scratch, path)
-            if count_bytes:
-                # Sizing signal for the docs' cache-footprint guidance
-                # and the ``cache.disk_bytes`` counter.
-                self.stored_bytes += len(blob)
-                if self.obs:
-                    self.obs.count("cache.disk_bytes", len(blob))
+            # Sizing signal for the docs' cache-footprint guidance and
+            # the ``cache.disk_bytes`` counter.
+            self.stored_bytes += len(blob)
+            if self.obs:
+                self.obs.count("cache.disk_bytes", len(blob))
         except OSError:
             # Caching is best-effort: an unwritable directory must not
             # fail the evaluation that produced the payload.

@@ -25,7 +25,6 @@ import threading
 
 from ..config import ExplorationParams, ISEConstraints
 from ..core.flow import ISEDesignFlow
-from ..dist.client import remote_cache, remote_counters
 from ..errors import ReproError
 from ..obs import ensure_observer
 from ..sched.machine import MachineConfig
@@ -88,9 +87,6 @@ class EvalContext:
         # ``cache.memory_*`` metrics counters and close()'s summary.
         self.memory_hits = 0
         self.memory_misses = 0
-        # Remote-tier baseline: the client's tallies are process-wide,
-        # so this context's contribution is the delta since creation.
-        self._remote_baseline = remote_counters()
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -147,14 +143,9 @@ class EvalContext:
     # -- cache stats / teardown -------------------------------------------
 
     def cache_stats(self):
-        """Hit/miss tallies of every cache layer this context touched.
-
-        ``memory`` and ``disk`` are this context's own; ``remote_*``
-        fields are the process-wide client tallies *since this context
-        was created* (all zero when ``REPRO_REMOTE_CACHE`` is unset).
-        """
+        """Hit/miss tallies of the memory and disk caches of this context."""
         disk = self.disk_cache
-        stats = {
+        return {
             "memory_hits": self.memory_hits,
             "memory_misses": self.memory_misses,
             "disk_hits": getattr(disk, "hits", 0),
@@ -162,11 +153,6 @@ class EvalContext:
             "disk_stores": getattr(disk, "stores", 0),
             "disk_evictions": getattr(disk, "evictions", 0),
         }
-        current = remote_counters()
-        for name in ("hits", "misses", "puts", "errors"):
-            stats["remote_" + name] = \
-                current[name] - self._remote_baseline[name]
-        return stats
 
     def close(self):
         """Log a cache summary and release the worker pool (idempotent).
@@ -174,8 +160,6 @@ class EvalContext:
         Tearing down the persistent :mod:`repro.core.pool` here unlinks
         its shared-memory segments (broadcast + shared evalcache) — the
         ``atexit`` hook only backstops contexts that are never closed.
-        A configured remote tier gets its insert log flushed and its
-        delta tallies recorded as ``remote.*`` counters.
 
         Idempotent *and* thread-safe: a server's lifecycle teardown can
         race a request handler's ``with EvalContext(...)`` exit, so the
@@ -190,20 +174,11 @@ class EvalContext:
         stats = self.cache_stats()
         logger.info(
             "EvalContext cache: memory %d hit(s) / %d miss(es), "
-            "disk %d hit(s) / %d miss(es) / %d store(s), "
-            "remote %d hit(s) / %d miss(es)",
+            "disk %d hit(s) / %d miss(es) / %d store(s)",
             stats["memory_hits"], stats["memory_misses"],
-            stats["disk_hits"], stats["disk_misses"], stats["disk_stores"],
-            stats["remote_hits"], stats["remote_misses"])
-        obs = self.obs
-        if obs:
-            obs.event("eval.cache_summary", **stats)
-            for name in ("hits", "misses", "puts", "errors"):
-                if stats["remote_" + name]:
-                    obs.count("remote." + name, stats["remote_" + name])
-        remote = remote_cache()
-        if remote is not None:
-            remote.flush()
+            stats["disk_hits"], stats["disk_misses"], stats["disk_stores"])
+        if self.obs:
+            self.obs.event("eval.cache_summary", **stats)
         from ..core.pool import shutdown_pools
 
         shutdown_pools()

@@ -44,9 +44,7 @@ def summarize_trace(records):
     ``metrics`` (last registry snapshot, when the trace has one),
     ``pool`` (the ``pool.*`` counters/gauges of that snapshot — worker
     pool dispatches, steals, broadcast bytes, occupancy — or ``None``
-    for serial runs), ``remote`` (``remote.*`` counters of the remote
-    evalcache tier, or ``None`` when no server was configured) and
-    ``sweep`` (``sweep.*`` counters plus the last ``sweep.done``
+    for serial runs) and ``sweep`` (``sweep.*`` counters plus the last ``sweep.done``
     payload, or ``None`` outside sweep runs).
     """
     kinds = {}
@@ -94,7 +92,7 @@ def summarize_trace(records):
             metrics = record
         elif kind == "sweep.done":
             sweep_done = record
-    pool = remote = sweep = None
+    pool = sweep = None
     if metrics is not None:
         def section(prefix):
             return {name: value
@@ -103,7 +101,6 @@ def summarize_trace(records):
                     if name.startswith(prefix)} or None
 
         pool = section("pool.")
-        remote = section("remote.")
         sweep = section("sweep.")
     if sweep_done is not None:
         sweep = dict(sweep or {})
@@ -120,7 +117,6 @@ def summarize_trace(records):
         "evaluate": evaluate,
         "metrics": metrics,
         "pool": pool,
-        "remote": remote,
         "sweep": sweep,
     }
 
@@ -161,28 +157,12 @@ def render_summary(summary):
                 pool.get("pool.dispatches", 0), pool.get("pool.tasks", 0),
                 pool.get("pool.steals", 0),
                 pool.get("pool.broadcast_bytes", 0)))
-    remote = summary.get("remote")
-    if remote:
-        lines.append(
-            "remote cache: {} hit(s), {} miss(es), {} put(s), "
-            "{} error(s)".format(
-                remote.get("remote.hits", 0),
-                remote.get("remote.misses", 0),
-                remote.get("remote.puts", 0),
-                remote.get("remote.errors", 0)))
     sweep = summary.get("sweep")
     if sweep:
         done = sweep.get("done") or {}
-        shard = ""
-        if done.get("shard_index") is not None:
-            shard = ", shard {}/{}".format(done["shard_index"],
-                                           done["shard_count"])
-        lines.append(
-            "sweep: {} cell(s) run / {} skipped, {} row(s){}".format(
-                sweep.get("sweep.cells_run", 0),
-                sweep.get("sweep.cells_skipped", 0),
-                sweep.get("sweep.rows", done.get("rows", 0)),
-                shard))
+        lines.append("sweep: {} cell(s), {} row(s)".format(
+            sweep.get("sweep.cells", 0),
+            sweep.get("sweep.rows", done.get("rows", 0))))
     evaluate = summary["evaluate"]
     if evaluate is not None:
         lines.append(

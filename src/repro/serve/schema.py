@@ -74,7 +74,6 @@ SWEEP_DEFAULTS = {
     "batch": None,
     "iterations": None,
     "restarts": None,
-    "shard": None,
 }
 
 
@@ -195,8 +194,10 @@ def validate_request(body):
             _require(isinstance(machines, list) and all(
                 isinstance(m, (list, tuple)) and len(m) == 2
                 and isinstance(m[0], str) and isinstance(m[1], int)
+                and not isinstance(m[1], bool) and m[1] >= 1
                 for m in machines),
-                "'machines' must be a list of [ports, issue] pairs")
+                "'machines' must be a list of [ports, issue] pairs "
+                "with a positive integer issue")
             machines = [(ports, issue) for ports, issue in machines]
         req["machines"] = machines
         budgets = body.pop("budgets", SWEEP_DEFAULTS["budgets"])
@@ -206,14 +207,6 @@ def validate_request(body):
                 for b in budgets),
                 "'budgets' must be a non-empty list of numbers")
         req["budgets"] = budgets
-        shard = body.pop("shard", SWEEP_DEFAULTS["shard"])
-        if shard is not None:
-            _require(isinstance(shard, (list, tuple)) and len(shard) == 2
-                     and all(isinstance(s, int) and not isinstance(s, bool)
-                             for s in shard),
-                     "'shard' must be an [index, count] pair")
-            shard = (shard[0], shard[1])
-        req["shard"] = shard
         for name in ("seed", "iterations", "restarts", "jobs", "batch"):
             req[name] = _take_int(body, name, SWEEP_DEFAULTS[name])
         for name in ("opt", "engine"):
@@ -266,7 +259,7 @@ def request_scope(req):
     """The serve lane key: the machine's shared-evalcache scope string.
 
     Explore/evaluate requests land on the lane of their machine scope
-    (the same string that qualifies shared/remote evalcache keys, so
+    (the same string that qualifies shared evalcache keys, so
     "same lane" and "same cache scope" are one concept); sweeps span
     machines and run on a dedicated ``sweep`` lane.
     """

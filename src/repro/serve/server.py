@@ -8,9 +8,8 @@ completion is marshalled back via ``loop.call_soon_threadsafe``, so the
 loop stays responsive for status probes, cancels and new connections
 while explorations grind on lane threads and the shared worker pool.
 
-Connection discipline mirrors :class:`repro.dist.server.EvalCacheServer`
-— one read loop per connection, length-prefix validation first — with
-two differences a service needs:
+Each connection has one read loop that validates the length prefix
+first, and two properties a service needs:
 
 * **multiplexing** — the client chooses a ``request_id`` per request
   and any number may be in flight on one connection; responses and

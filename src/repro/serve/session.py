@@ -3,7 +3,7 @@
 The server (:mod:`repro.serve.server`) never explores on its event
 loop.  Each request is wrapped in a :class:`WorkItem` and queued onto
 the :class:`ScopeLane` of its machine scope — the same scope string
-that qualifies shared/remote evalcache keys
+that qualifies shared evalcache keys
 (:func:`repro.core.evalcache.eval_scope`), so requests that can share
 evaluation work share a lane by construction.  One daemon thread per
 lane drains its queue in batches:
@@ -317,7 +317,7 @@ class ScopeLane:
             profile=req["profile"], seed=req["seed"],
             engine=req["engine"], jobs=req["jobs"], batch=req["batch"],
             iterations=req["iterations"], restarts=req["restarts"],
-            shard=req["shard"], observer=observer)
+            observer=observer)
         item.deliver(result.to_payload())
 
 

@@ -10,7 +10,15 @@ written again for a result that was served from a nearer one — across
 two full :class:`EvalContext` lifetimes sharing one cache directory.
 """
 
-from repro.eval.persistence import CACHE_DIR_ENV, CACHE_ENV
+import os
+import pickle
+import time
+
+from repro.eval.persistence import (
+    CACHE_DIR_ENV,
+    CACHE_ENV,
+    ExplorationCache,
+)
 from repro.eval.runner import EvalContext
 from repro.sched.machine import MachineConfig
 
@@ -55,3 +63,30 @@ def test_store_once_hit_from_nearest_tier(tmp_path, monkeypatch):
         assert len(explored_disk.candidates) == len(explored_cold.candidates)
 
     assert sorted(tmp_path.glob("*.pkl")) == stored    # still one file
+
+
+def test_disk_cache_lru_eviction(tmp_path):
+    blob_size = len(pickle.dumps("x" * 100, pickle.HIGHEST_PROTOCOL))
+    cache = ExplorationCache(directory=str(tmp_path), enabled=True,
+                             max_bytes=2 * blob_size)
+    cache.store("aa", "x" * 100)
+    cache.store("bb", "x" * 100)
+    assert sorted(p.name for p in tmp_path.glob("*.pkl")) \
+        == ["aa.pkl", "bb.pkl"]
+    # Refresh "aa" so "bb" is the LRU victim of the next store.
+    old = time.time() - 1000
+    os.utime(tmp_path / "bb.pkl", (old, old))
+    assert cache.load("aa") == "x" * 100
+    cache.store("cc", "x" * 100)
+    names = sorted(p.name for p in tmp_path.glob("*.pkl"))
+    assert names == ["aa.pkl", "cc.pkl"]
+    assert cache.evictions == 1
+    assert cache.load("bb") is None
+
+
+def test_fresh_store_never_self_evicts(tmp_path):
+    cache = ExplorationCache(directory=str(tmp_path), enabled=True,
+                             max_bytes=8)
+    cache.store("oversized", "y" * 1000)              # alone over budget
+    assert (tmp_path / "oversized.pkl").exists()
+    assert cache.load("oversized") == "y" * 1000

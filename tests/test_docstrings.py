@@ -5,10 +5,12 @@ walks the whole package and fails on any public module, class, function
 or method without a docstring, so documentation debt cannot creep in.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -118,3 +120,39 @@ def test_design_module_map_matches_the_tree():
         sorted(on_disk - named))
     assert not named - on_disk, "named in DESIGN.md §3 but absent: {}".format(
         sorted(named - on_disk))
+
+
+# -- docs/PARAMETERS.md knob ledger ------------------------------------------
+
+_KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def _knobs_read_by_src(root):
+    """``REPRO_*`` names the package spells as whole string literals."""
+    names = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and _KNOB.fullmatch(node.value):
+                names.add(node.value)
+    return names
+
+
+def test_knob_ledger_matches_parameters_doc():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    read = _knobs_read_by_src(root)
+    documented = set(_KNOB.findall(
+        (root / "docs" / "PARAMETERS.md").read_text(encoding="utf-8")))
+    assert not read - documented, \
+        "read under src/ but not in docs/PARAMETERS.md: {}".format(
+            sorted(read - documented))
+    assert not documented - read, \
+        "in docs/PARAMETERS.md but read nowhere under src/: {}".format(
+            sorted(documented - read))
+    assert read == {
+        "REPRO_JOBS", "REPRO_ANT_BATCH", "REPRO_EVAL_PROFILE",
+        "REPRO_POOL_PERSIST", "REPRO_POOL_SHARED_SLOTS",
+        "REPRO_EVALCACHE", "REPRO_BITSET", "REPRO_CACHE",
+        "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES"}

@@ -4,8 +4,7 @@ Three layers, cheapest first:
 
 * request-schema units — strict validation, canonical fingerprints;
 * protocol fuzz — malformed / truncated / oversized / garbage frames
-  must each answer a structured ERR without killing the server loop
-  (the serve-side extension of test_dist.py's garbage-frame contract);
+  must each answer a structured ERR without killing the server loop;
 * server semantics — quotas, timeouts, cancellation, job surface,
   event streaming, and the bit-identity acceptance check against the
   one-shot :func:`repro.api.explore`.
@@ -87,15 +86,29 @@ def test_validate_cancel_needs_exactly_one_target():
 def test_validate_sweep_shapes():
     req = schema.validate_request({
         "op": "sweep", "workloads": ["crc32"],
-        "machines": [["4/2", 2]], "budgets": [20000.0],
-        "shard": [0, 2]})
+        "machines": [["4/2", 2]], "budgets": [20000.0]})
     assert req["machines"] == [("4/2", 2)]
-    assert req["shard"] == (0, 2)
+    assert "shard" not in req
     with pytest.raises(RequestError):
         schema.validate_request({"op": "sweep", "workloads": []})
     with pytest.raises(RequestError):
         schema.validate_request(
             {"op": "sweep", "workloads": ["crc32"], "machines": [[2, "4/2"]]})
+    # Sweeps run on one host: a shard spec is an unknown key.
+    with pytest.raises(RequestError, match="unknown key.*'shard'"):
+        schema.validate_request({"op": "sweep", "workloads": ["crc32"],
+                                 "shard": [0, 2]})
+
+
+@pytest.mark.parametrize("issue", [True, False, 0, -1, 2.0, "2"])
+def test_validate_sweep_machine_issue_is_a_positive_int(issue):
+    """Each sweep machine's issue follows explore's ``issue`` rule."""
+    with pytest.raises(RequestError, match="positive integer issue"):
+        schema.validate_request({"op": "sweep", "workloads": ["crc32"],
+                                 "machines": [["4/2", issue]]})
+    with pytest.raises(RequestError):
+        schema.validate_request(
+            {"op": "explore", "workload": "crc32", "issue": issue})
 
 
 def test_fingerprint_ignores_jobs_but_compat_key_does_not():
@@ -129,6 +142,29 @@ def test_payload_digest_is_order_insensitive_and_content_sensitive():
     assert schema.payload_digest({"a": 1, "b": 2}) \
         == schema.payload_digest({"b": 2, "a": 1})
     assert schema.payload_digest({"a": 1}) != schema.payload_digest({"a": 2})
+
+
+# -- frame codec units --------------------------------------------------------
+
+def test_protocol_rejects_malformed_frames():
+    with pytest.raises(protocol.ProtocolError):
+        protocol.frame_length(b"\xff\xff\xff\xff")    # > MAX_FRAME
+    with pytest.raises(protocol.ProtocolError):
+        protocol.frame_length(b"\x00\x00")            # short prefix
+    assert protocol.frame_length(
+        protocol.pack_frame(b"abc")[:4]) == 3
+    request = protocol.encode_serve_request(7, {"op": "status"})
+    assert protocol.decode_serve_request(request) == (7, {"op": "status"})
+    with pytest.raises(protocol.ProtocolError):
+        protocol.decode_serve_request(request + b"extra")  # trailing
+    with pytest.raises(protocol.ProtocolError):
+        protocol.decode_serve_request(request[:-3])        # truncated
+    with pytest.raises(protocol.ProtocolError):
+        protocol.decode_serve_response(b"Z" + request[1:])  # bad tag
+    # An ERR response decodes (its code is the client's to map).
+    kind, request_id, body = protocol.decode_serve_response(
+        protocol.encode_serve_err(7, "boom", code="timeout"))
+    assert (kind, request_id, body["code"]) == ("err", 7, "timeout")
 
 
 # -- protocol fuzz: the server loop must survive every garbage frame ---------

@@ -1,11 +1,10 @@
-"""The sharded sweep dispatcher: partitioning, merging, bit-parity.
+"""The design-space sweep: grid order, bit-parity, payload round-trip.
 
-The headline contract: for any shard count, running every shard
-independently and merging the parts yields *bit-identical* rows (and
-digest) to one serial sweep — partitioning is deterministic by cell
-fingerprint, cells are independent, and the merge re-imposes canonical
-grid order.  Everything here runs a tiny effort grid so the whole
-module stays in CI-smoke territory.
+The headline contract: a sweep's rows (and digest) are bit-identical
+whether each cell explores serially or on the warm worker pool, and
+its JSON payload round-trips exactly with the digest checked on load.
+Everything here runs a tiny effort grid so the whole module stays in
+CI-smoke territory.
 """
 
 import json
@@ -13,19 +12,13 @@ import json
 import pytest
 
 from repro.api import sweep as api_sweep
-from repro.dist.client import REMOTE_ENV, remote_cache, reset_remote_cache
-from repro.dist.server import EvalCacheServer
 from repro.dist.sweep import (
+    PAYLOAD_SCHEMA,
     SweepResult,
     SweepRow,
-    cell_fingerprint,
     cell_grid,
-    merge_sweeps,
-    parse_shard,
     render_sweep,
     run_sweep,
-    shard_of,
-    sweep_digest,
 )
 from repro.errors import ReproError
 from repro.eval.persistence import CACHE_DIR_ENV, CACHE_ENV
@@ -43,11 +36,9 @@ def shared_disk_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         CACHE_DIR_ENV,
         str(tmp_path_factory.getbasetemp() / "sweep_cache"))
-    monkeypatch.delenv(REMOTE_ENV, raising=False)
-    reset_remote_cache()
 
 
-# -- partitioning -----------------------------------------------------------
+# -- grid -------------------------------------------------------------------
 
 def test_cell_grid_order_is_machines_outer():
     cells = cell_grid(("a", "b"), MACHINES)
@@ -55,63 +46,46 @@ def test_cell_grid_order_is_machines_outer():
                      ("a", "6/3", 3), ("b", "6/3", 3))
 
 
-def test_shard_partition_is_disjoint_complete_deterministic():
-    cells = cell_grid(("adpcm", "jpeg", "crc32", "sha"), MACHINES)
-    for count in (1, 2, 3, 5):
-        owners = {
-            cell: shard_of(
-                cell_fingerprint(cell, "O3", "quick", 0, "aco"), count)
-            for cell in cells
-        }
-        assert set(owners.values()) <= set(range(count))
-        # Every cell lands on exactly one shard (dict: trivially), and
-        # re-hashing assigns the same owner.
-        again = {
-            cell: shard_of(
-                cell_fingerprint(cell, "O3", "quick", 0, "aco"), count)
-            for cell in cells
-        }
-        assert owners == again
-    # The fingerprint covers every grid-spec field: changing any one
-    # moves to a fresh fingerprint (no accidental collisions).
-    base = cell_fingerprint(("w", "4/2", 2), "O3", "quick", 0, "aco")
-    assert base != cell_fingerprint(("w", "4/2", 2), "O0", "quick", 0, "aco")
-    assert base != cell_fingerprint(("w", "4/2", 2), "O3", "quick", 1, "aco")
-    assert base != cell_fingerprint(("w", "8/4", 2), "O3", "quick", 0, "aco")
-
-
-def test_parse_shard():
-    assert parse_shard("0/4") == (0, 4)
-    assert parse_shard("3/4") == (3, 4)
-    for bad in ("4/4", "-1/4", "0/0", "nope", "1", ""):
-        with pytest.raises(ReproError):
-            parse_shard(bad)
-
-
 def test_run_sweep_validates_inputs():
     with pytest.raises(ReproError):
         run_sweep(workloads=(), machines=MACHINES, budgets=BUDGETS)
     with pytest.raises(ReproError):
-        run_sweep(workloads=("crc32",), machines=MACHINES,
-                  budgets=BUDGETS, shard=(2, 2))
+        run_sweep(workloads=("crc32",), machines=(), budgets=BUDGETS)
+    with pytest.raises(ReproError):
+        run_sweep(workloads=("crc32",), machines=MACHINES, budgets=())
 
 
 # -- the bit-parity contract ------------------------------------------------
 
-def test_sharded_merge_equals_serial(shared_disk_cache):
-    serial = api_sweep(**TINY)
+def test_pooled_sweep_equals_serial(monkeypatch, tmp_path):
+    """Every cell explored on a two-worker pool gives the serial rows."""
+    from repro.core import parallel
+    from repro.core.pool import add_dispatch_hook, remove_dispatch_hook
+
+    # Widen the CPU clamp so jobs=2 fans out even on a one-CPU host.
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 4)
+    monkeypatch.setenv(CACHE_ENV, "0")
+    serial = api_sweep(**TINY, jobs=1)
     assert len(serial.rows) == len(MACHINES) * len(BUDGETS)
-    parts = [api_sweep(**TINY, shard=(i, 2)) for i in range(2)]
-    assert sum(len(part.rows) for part in parts) == len(serial.rows)
-    merged = merge_sweeps(parts)
-    assert merged.rows == serial.rows                 # bit-identical
-    assert merged.digest == serial.digest
-    assert merged.shard_index is None
+    assert [(row.ports, row.budget) for row in serial.rows] == [
+        (ports, budget) for ports, __ in MACHINES for budget in BUDGETS]
+    dispatches = []
+    hook = lambda phase, info: dispatches.append(info["jobs"])  # noqa: E731
+    add_dispatch_hook(hook)
+    try:
+        pooled = api_sweep(**TINY, jobs=2)
+    finally:
+        remove_dispatch_hook(hook)
+    assert 2 in dispatches                            # really pooled
+    assert pooled.rows == serial.rows                 # bit-identical
+    assert pooled.digest == serial.digest
 
 
 def test_sweep_payload_roundtrip(shared_disk_cache):
-    result = api_sweep(**TINY, shard=(0, 2))
+    result = api_sweep(**TINY)
     payload = json.loads(json.dumps(result.to_payload()))
+    assert payload["_schema"] == PAYLOAD_SCHEMA == 2
+    assert "shard_index" not in payload
     assert SweepResult.from_payload(payload) == result
     # Tampering with a row breaks the digest check on load.
     payload["rows"][0]["final_cycles"] += 1
@@ -122,49 +96,18 @@ def test_sweep_payload_roundtrip(shared_disk_cache):
         SweepResult.from_payload(payload)
 
 
-def test_dead_remote_server_changes_nothing(shared_disk_cache,
-                                            monkeypatch, tmp_path):
-    """Acceptance: an unreachable cache server degrades to the local
-    tiers without error or result change."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "local_only"))
-    local = api_sweep(**TINY)
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "dead_remote"))
-    monkeypatch.setenv(REMOTE_ENV, "127.0.0.1:1")     # nothing listens
-    monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "0.05")
-    reset_remote_cache()
-    try:
-        degraded = api_sweep(**TINY)
-    finally:
-        reset_remote_cache()
-    assert degraded.rows == local.rows
-    assert degraded.digest == local.digest
+def test_schema_1_payload_is_refused():
+    """A payload written before the shard fields were dropped."""
+    row = _row()
+    legacy = {
+        "_schema": 1, "workloads": ["w"], "machines": [["4/2", 2]],
+        "budgets": [1.0], "opt": "O3", "profile": "quick", "seed": 0,
+        "engine": "aco", "shard_index": None, "shard_count": None,
+        "rows": [row.to_payload()]}
+    with pytest.raises(ReproError,
+                       match="unsupported sweep payload schema 1"):
+        SweepResult.from_payload(legacy)
 
-
-def test_live_remote_server_shares_work(monkeypatch, tmp_path):
-    """A second host (fresh disk cache) reuses the first host's work
-    through the cache server — and gets identical rows."""
-    server = EvalCacheServer(port=0)
-    server.start_in_thread()
-    monkeypatch.setenv(CACHE_ENV, "1")
-    monkeypatch.setenv(REMOTE_ENV, server.address)
-    monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "5.0")
-    reset_remote_cache()
-    try:
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "host_a"))
-        cold = api_sweep(**TINY)
-        assert server.store.inserted > 0              # work published
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "host_b"))
-        warm = api_sweep(**TINY)
-        tallies = remote_cache().tallies
-        assert tallies["hits"] + tallies["blob_hits"] > 0
-    finally:
-        reset_remote_cache()
-        server.stop()
-    assert warm.rows == cold.rows
-    assert warm.digest == cold.digest
-
-
-# -- merge error paths ------------------------------------------------------
 
 def _row(workload="w", ports="4/2", issue=2, budget=1.0):
     return SweepRow(workload=workload, ports=ports, issue=issue,
@@ -173,33 +116,10 @@ def _row(workload="w", ports="4/2", issue=2, budget=1.0):
 
 
 def _result(rows, workloads=("w",), machines=(("4/2", 2),),
-            budgets=(1.0,), shard_index=0, shard_count=1, seed=0):
+            budgets=(1.0,), seed=0):
     return SweepResult(workloads=workloads, machines=machines,
                        budgets=budgets, opt="O3", profile="quick",
-                       seed=seed, engine="aco", shard_index=shard_index,
-                       shard_count=shard_count, rows=tuple(rows))
-
-
-def test_merge_rejects_empty_and_mismatched_specs():
-    with pytest.raises(ReproError):
-        merge_sweeps([])
-    with pytest.raises(ReproError):
-        merge_sweeps([_result([_row()]), _result([_row()], seed=1)])
-
-
-def test_merge_rejects_duplicate_and_missing_cells():
-    with pytest.raises(ReproError, match="duplicate"):
-        merge_sweeps([_result([_row()]), _result([_row()])])
-    with pytest.raises(ReproError, match="missing"):
-        merge_sweeps([_result([], workloads=("w",))])
-
-
-def test_merge_reimposes_canonical_order():
-    rows = [_row(budget=2.0), _row(budget=1.0)]       # reversed order
-    part = _result(rows, budgets=(1.0, 2.0))
-    merged = merge_sweeps([part])
-    assert [row.budget for row in merged.rows] == [1.0, 2.0]
-    assert merged.digest == sweep_digest(merged.rows)
+                       seed=seed, engine="aco", rows=tuple(rows))
 
 
 # -- rendering and observability --------------------------------------------
@@ -216,29 +136,28 @@ def test_sweep_trace_summary(shared_disk_cache, tmp_path):
     from repro.obs import load_trace, render_summary, summarize_trace
 
     trace = str(tmp_path / "sweep.jsonl")
-    api_sweep(**TINY, shard=(0, 2), trace=trace)
+    api_sweep(**TINY, trace=trace)
     summary = summarize_trace(load_trace(trace))
     assert summary["sweep"] is not None
     assert summary["sweep"]["sweep.cells"] == len(MACHINES)
-    assert summary["sweep"]["done"]["shard_index"] == 0
+    assert summary["sweep"]["done"]["rows"] == len(MACHINES) * len(BUDGETS)
     rendered = render_summary(summary)
-    assert "sweep:" in rendered
+    assert "sweep: {} cell(s), {} row(s)".format(
+        len(MACHINES), len(MACHINES) * len(BUDGETS)) in rendered
 
 
-def test_cli_sweep_shard_and_merge(shared_disk_cache, tmp_path, capsys):
+def test_cli_sweep_out_roundtrip(shared_disk_cache, tmp_path, capsys):
     from repro.cli import main
+    from repro.eval.persistence import load_json
 
-    parts = []
-    for i in range(2):
-        out = str(tmp_path / "part{}.json".format(i))
-        code = main(["sweep", "--workloads", "crc32",
-                     "--machines", "2:4/2,3:6/3",
-                     "--budgets", "20000,320000",
-                     "--iterations", "6", "--restarts", "1",
-                     "--shard", "{}/2".format(i), "--out", out])
-        assert code == 0
-        parts.append(out)
-    code = main(["sweep", "--merge"] + parts)
+    out = str(tmp_path / "sweep.json")
+    code = main(["sweep", "--workloads", "crc32",
+                 "--machines", "2:4/2,3:6/3",
+                 "--budgets", "20000,320000",
+                 "--iterations", "6", "--restarts", "1", "--out", out])
     assert code == 0
-    merged_text = capsys.readouterr().out
-    assert "digest   :" in merged_text and "Execution-time" in merged_text
+    printed = capsys.readouterr().out
+    assert "Execution-time" in printed
+    result = SweepResult.from_payload(load_json(out))
+    assert "digest   : {}".format(result.digest) in printed
+    assert result.digest == api_sweep(**TINY).digest
