@@ -24,6 +24,21 @@ DEFAULT_BUDGETS = (20_000, 80_000, 320_000)
 #: Schema tag of the JSON payload (bump on layout changes).
 PAYLOAD_SCHEMA = 2
 
+#: Keys every schema-2 payload carries (``to_payload`` writes them all).
+_PAYLOAD_KEYS = ("workloads", "machines", "budgets", "opt", "profile",
+                 "seed", "engine", "digest", "rows")
+
+_ROW_KEYS = ("workload", "ports", "issue", "budget", "baseline_cycles",
+             "final_cycles", "reduction", "num_ises", "area")
+
+
+def _require_keys(record, keys, what):
+    """Refuse a truncated payload by naming its first missing key."""
+    for key in keys:
+        if key not in record:
+            raise ReproError("{} has no {!r} (truncated or edited "
+                             "file)".format(what, key))
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -53,9 +68,8 @@ class SweepRow:
     @classmethod
     def from_payload(cls, record):
         """Rebuild a row from its :meth:`to_payload` dict."""
-        return cls(**{name: record[name] for name in (
-            "workload", "ports", "issue", "budget", "baseline_cycles",
-            "final_cycles", "reduction", "num_ises", "area")})
+        _require_keys(record, _ROW_KEYS, "sweep row")
+        return cls(**{name: record[name] for name in _ROW_KEYS})
 
 
 @dataclass(frozen=True)
@@ -91,11 +105,14 @@ class SweepResult:
 
     @classmethod
     def from_payload(cls, payload):
-        """Rebuild a result, validating schema and digest."""
+        """Rebuild a result, validating schema, keys and digest."""
         if payload.get("_schema") != PAYLOAD_SCHEMA:
             raise ReproError(
                 "unsupported sweep payload schema {!r}".format(
                     payload.get("_schema")))
+        _require_keys(payload, _PAYLOAD_KEYS, "sweep payload")
+        if payload["digest"] is None:
+            raise ReproError("sweep payload has a null 'digest'")
         result = cls(
             workloads=tuple(payload["workloads"]),
             machines=tuple((ports, issue)
@@ -104,7 +121,7 @@ class SweepResult:
             opt=payload["opt"], profile=payload["profile"],
             seed=payload["seed"], engine=payload["engine"],
             rows=tuple(SweepRow.from_payload(r) for r in payload["rows"]))
-        if payload.get("digest") and payload["digest"] != result.digest:
+        if payload["digest"] != result.digest:
             raise ReproError(
                 "sweep payload digest mismatch (corrupt or edited file)")
         return result
@@ -139,11 +156,17 @@ def run_sweep(*, workloads, machines=PAPER_CASES, budgets=DEFAULT_BUDGETS,
     from ..api import explore as api_explore
 
     workloads = tuple(workloads)
-    machines = tuple((ports, int(issue)) for ports, issue in machines)
+    machines = tuple((ports, issue) for ports, issue in machines)
     budgets = tuple(budgets)
     if not workloads or not machines or not budgets:
         raise ReproError(
             "a sweep needs at least one workload, machine and budget")
+    for ports, issue in machines:
+        if (not isinstance(issue, int) or isinstance(issue, bool)
+                or issue < 1):
+            raise ReproError(
+                "machine ({!r}, {!r}): issue must be a positive "
+                "integer".format(ports, issue))
     obs = ensure_observer(obs)
     cells = cell_grid(workloads, machines)
     if obs:

@@ -3,10 +3,13 @@
 One asyncio process accepts framed-JSON requests (the serve extension
 of :mod:`repro.dist.protocol`) and multiplexes them onto per-scope
 worker lanes (:mod:`repro.serve.session`).  The event loop never
-explores: every execution request becomes a :class:`WorkItem` whose
-completion is marshalled back via ``loop.call_soon_threadsafe``, so the
-loop stays responsive for status probes, cancels and new connections
-while explorations grind on lane threads and the shared worker pool.
+explores: a repeat explore or a repeated evaluate is answered on the
+loop from its lane's memo
+(:meth:`~repro.serve.session.ScopeLane.answer`), and every other
+execution request becomes a :class:`WorkItem` whose completion is
+marshalled back via ``loop.call_soon_threadsafe``, so the loop stays
+responsive for status probes, cancels and new connections while
+explorations grind on lane threads and the shared worker pool.
 
 Each connection has one read loop that validates the length prefix
 first, and two properties a service needs:
@@ -250,6 +253,14 @@ class ExploreServer:
                     len(session.inflight), self.max_inflight),
                 code="quota")
             return
+        lane = self.registry.lane(schema.request_scope(req))
+        payload = lane.answer(req)
+        if payload is not None:
+            self.bump("serve.memo_hits")
+            self.bump("serve.responses")
+            await self._write(session, protocol.encode_serve_ok(
+                request_id, payload))
+            return
         loop = asyncio.get_running_loop()
         future = loop.create_future()
 
@@ -271,7 +282,7 @@ class ExploreServer:
 
         session.inflight[request_id] = (item, cancel_fn)
         try:
-            self.registry.lane(schema.request_scope(req)).submit(item)
+            lane.submit(item)
             timeout = req.get("timeout") or self.request_timeout
             payload = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:

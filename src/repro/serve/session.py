@@ -1,16 +1,21 @@
 """Per-machine-scope worker lanes: batching, memoing, fan-out.
 
 The server (:mod:`repro.serve.server`) never explores on its event
-loop.  Each request is wrapped in a :class:`WorkItem` and queued onto
-the :class:`ScopeLane` of its machine scope — the same scope string
-that qualifies shared evalcache keys
+loop.  It first asks the :class:`ScopeLane` of the request's machine
+scope for a memoised answer (:meth:`ScopeLane.answer`): a repeat
+explore, or a repeated evaluate at the same budget, is answered on the
+loop with no lane round trip.  Every other request is wrapped in a
+:class:`WorkItem` and queued onto the lane.  The scope is the same
+string that qualifies shared evalcache keys
 (:func:`repro.core.evalcache.eval_scope`), so requests that can share
 evaluation work share a lane by construction.  One daemon thread per
 lane drains its queue in batches:
 
 1. **memo** — a request whose :func:`~repro.serve.schema.explore_fingerprint`
    was already explored on this lane answers from the lane's bounded
-   LRU memo (the exploration is a pure function of the fingerprint);
+   LRU memo (the exploration is a pure function of the fingerprint).
+   Each memo entry also keeps up to :data:`SELECTIONS_PER_ENTRY`
+   evaluate answers, keyed by budget, and drops them with the entry;
 2. **batch** — the remaining requests are grouped by
    :func:`~repro.serve.schema.compat_key`; each group's hot blocks are
    fanned out in **one** ``explore_many`` dispatch over the shared
@@ -45,7 +50,32 @@ from . import schema
 #: Default per-lane memo bound (explorations kept hot for re-fetch).
 DEFAULT_MEMO_ENTRIES = 64
 
+#: Evaluate answers kept per memo entry, least recently stored dropped
+#: first (the paper's budget sweeps use 3 areas x 4 ISE counts).
+SELECTIONS_PER_ENTRY = 32
+
 _STOP = object()
+
+
+class _MemoEntry:
+    """One explored fingerprint: its answer and the selections made on it."""
+
+    __slots__ = ("payload", "explored", "flow", "selections")
+
+    def __init__(self, payload, explored, flow):
+        self.payload = payload
+        self.explored = explored
+        self.flow = flow
+        self.selections = OrderedDict()   # selection key -> payload
+
+
+def _selection_key(req):
+    """The fields :meth:`ScopeLane._select` reads beyond the fingerprint.
+
+    ``repr`` keeps ``20000`` and ``20000.0`` apart: they compare equal
+    but echo differently in the payload, so they digest differently.
+    """
+    return (repr(req["max_area"]), req["max_ises"], req["enable_sharing"])
 
 
 class WorkItem:
@@ -101,7 +131,8 @@ class ScopeLane:
         self.scope = scope
         self.counters = counters      # callable ``bump(name, n)`` or None
         self.memo_entries = memo_entries
-        self._memo = OrderedDict()    # fingerprint -> (payload, explored, flow)
+        self._memo = OrderedDict()    # fingerprint -> _MemoEntry
+        self._memo_lock = threading.Lock()
         self._queue = queue.Queue()
         self._thread = None
         self._start_lock = threading.Lock()
@@ -130,6 +161,30 @@ class ScopeLane:
     def memo_size(self):
         """Number of explorations currently memoised."""
         return len(self._memo)
+
+    def answer(self, req):
+        """The memoised answer to an explore or evaluate, else None.
+
+        Safe from any thread: the server's event loop calls it before
+        queueing a request.  An explore hits when its fingerprint is
+        memoised; an evaluate also needs a selection already made at its
+        budget.  A request that misses here and finds its entry once on
+        the lane is answered by :meth:`_finish`, which reuses a stored
+        selection the same way.
+        """
+        if req["op"] not in ("explore", "evaluate"):
+            return None
+        fingerprint = schema.explore_fingerprint(req)
+        with self._memo_lock:
+            entry = self._memo.get(fingerprint)
+            if entry is None:
+                return None
+            self._memo.move_to_end(fingerprint)
+            if req["op"] == "explore":
+                payload = entry.payload
+            else:
+                payload = entry.selections.get(_selection_key(req))
+        return None if payload is None else dict(payload)
 
     def _bump(self, name, n=1):
         if self.counters is not None:
@@ -180,9 +235,11 @@ class ScopeLane:
         fresh = OrderedDict()
         for item in items:
             fingerprint = schema.explore_fingerprint(item.request)
-            entry = self._memo.get(fingerprint)
+            with self._memo_lock:
+                entry = self._memo.get(fingerprint)
+                if entry is not None:
+                    self._memo.move_to_end(fingerprint)
             if entry is not None:
-                self._memo.move_to_end(fingerprint)
                 self._bump("serve.memo_hits")
                 self._finish(item, entry)
             else:
@@ -256,10 +313,11 @@ class ScopeLane:
                     engine=req["engine"], explored=explored, flow=flow)
                 payload = schema.explore_payload(api_result)
                 payload["digest"] = schema.explore_digest(payload)
-                entry = (payload, explored, flow)
-                self._memo[fingerprint] = entry
-                while len(self._memo) > self.memo_entries:
-                    self._memo.popitem(last=False)
+                entry = _MemoEntry(payload, explored, flow)
+                with self._memo_lock:
+                    self._memo[fingerprint] = entry
+                    while len(self._memo) > self.memo_entries:
+                        self._memo.popitem(last=False)
                 for item in waiters:
                     self._finish(item, entry)
         finally:
@@ -269,13 +327,22 @@ class ScopeLane:
                 entry[4].obs = NULL_OBSERVER
 
     def _finish(self, item, entry):
-        """Answer one item from a (payload, explored, flow) entry."""
-        payload, explored, flow = entry
+        """Answer one item from a memo entry, storing a new selection."""
+        req = item.request
         try:
-            if item.request["op"] == "evaluate":
-                item.deliver(self._select(item.request, explored, flow))
-            else:
-                item.deliver(dict(payload))
+            if req["op"] != "evaluate":
+                item.deliver(dict(entry.payload))
+                return
+            key = _selection_key(req)
+            with self._memo_lock:
+                payload = entry.selections.get(key)
+            if payload is None:
+                payload = self._select(req, entry.explored, entry.flow)
+                with self._memo_lock:
+                    entry.selections[key] = payload
+                    while len(entry.selections) > SELECTIONS_PER_ENTRY:
+                        entry.selections.popitem(last=False)
+            item.deliver(dict(payload))
         except Exception as error:
             item.fail(error)
 

@@ -6,15 +6,143 @@ seed, a full ``subgraph_delay_ns``/``subgraph_area`` pass per
 (seed, option), a round memo keyed on growth, group geometry and the
 whole sweep, and merit writes through the state's ``(uid, label)``
 mapping view.  The parity tests hold the production code to them.
+``ScheduleAnalysis`` (critical path and Max_AEC windows on the
+contracted unit DAG) is copied here too, so a rewrite of the production
+analysis is checked against this copy rather than against itself.
 Keep this file frozen; it is an oracle, not a second implementation to
 maintain.
 """
 
-from repro.core.analysis import ScheduleAnalysis
 from repro.core.grouping import VirtualGroup
 from repro.core.state import RoundMemo
 from repro.graph.analysis import io_counts, is_convex
 from repro.hwlib.asfu import subgraph_area, subgraph_delay_ns
+
+
+class ScheduleAnalysis:
+    """Dependence-timing facts about one iteration's realized choices."""
+
+    def __init__(self, dfg, schedule):
+        self.dfg = dfg
+        self.schedule = schedule
+        unit_of, latency, succs, preds, order = _contracted_units(
+            dfg, schedule)
+        self._unit_of = unit_of
+        self._latency = latency
+        asap = {}
+        for unit in order:
+            earliest = 0
+            for pred in preds[unit]:
+                ready = asap[pred] + latency[pred]
+                if ready > earliest:
+                    earliest = ready
+            asap[unit] = earliest
+        self._asap = asap
+        self.dependence_makespan = max(
+            (asap[unit] + latency[unit] for unit in order), default=0)
+        alap = {}
+        for unit in reversed(order):
+            latest = self.dependence_makespan - latency[unit]
+            for succ in succs[unit]:
+                bound = alap[succ] - latency[unit]
+                if bound < latest:
+                    latest = bound
+            alap[unit] = latest
+        self._alap = alap
+        self.critical = {
+            node for node in dfg.nodes
+            if alap[unit_of[node]] <= asap[unit_of[node]]
+        }
+        self._aec_memo = {}
+
+    # -- per-node windows -------------------------------------------------
+
+    def asap_start(self, node):
+        """Earliest dependence-feasible start cycle of ``node``."""
+        return self._asap[self._unit_of[node]]
+
+    def alap_start(self, node):
+        """Latest start cycle that preserves the makespan."""
+        return self._alap[self._unit_of[node]]
+
+    def unit_latency(self, node):
+        """Latency of the unit containing ``node``."""
+        return self._latency[self._unit_of[node]]
+
+    def is_critical(self, node):
+        """True when ``node`` has zero slack."""
+        return node in self.critical
+
+    def max_aec(self, members):
+        """Maximal allowable execution cycles of a (virtual) group.
+
+        Fig. 4.3.8: the slack window a group can occupy without hurting
+        the schedule — from the earliest its external inputs can be
+        ready to the latest its external consumers can still start.
+        Memoised per analysis: every hardware option of a seed shares
+        the same member set.
+        """
+        key = members if isinstance(members, frozenset) else None
+        if key is not None:
+            cached = self._aec_memo.get(key)
+            if cached is not None:
+                return cached
+        members = set(members)
+        ready = 0
+        deadline = self.dependence_makespan
+        for node in members:
+            for pred in self.dfg.predecessors(node):
+                if pred in members:
+                    continue
+                unit = self._unit_of[pred]
+                ready = max(ready, self._asap[unit] + self._latency[unit])
+            for succ in self.dfg.successors(node):
+                if succ in members:
+                    continue
+                deadline = min(deadline, self._alap[self._unit_of[succ]])
+        window = max(0, deadline - ready)
+        if key is not None:
+            self._aec_memo[key] = window
+        return window
+
+
+def _contracted_units(dfg, schedule):
+    """Unit DAG of the realized assignment (clusters → supernodes).
+
+    Returns ``(unit_of, latency, succs, preds, topo_order)`` as plain
+    dicts/lists — adjacency is deduplicated exactly like the DiGraph it
+    replaces, and the order is a Kahn topological sort of the units.
+    """
+    unit_of = {}
+    latency = {}
+    for index, cluster in enumerate(schedule.clusters):
+        uid = "c{}".format(index)
+        for member in cluster.members:
+            unit_of[member] = uid
+        latency[uid] = cluster.cycles
+    chosen = schedule.chosen
+    for node in dfg.nodes:
+        if node not in unit_of:
+            unit_of[node] = node
+            latency[node] = chosen[node].cycles
+    succs = {unit: set() for unit in latency}
+    for src, dst in dfg.edge_pairs():
+        u, v = unit_of[src], unit_of[dst]
+        if u != v:
+            succs[u].add(v)
+    preds = {unit: [] for unit in latency}
+    indegree = {unit: 0 for unit in latency}
+    for unit, out in succs.items():
+        for succ in out:
+            preds[succ].append(unit)
+            indegree[succ] += 1
+    order = [unit for unit, degree in indegree.items() if degree == 0]
+    for unit in order:               # grows while iterating (Kahn)
+        for succ in succs[unit]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                order.append(succ)
+    return unit_of, latency, succs, preds, order
 
 
 def grown_group(dfg, seed, chosen_hw):

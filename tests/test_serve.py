@@ -13,6 +13,7 @@ Three layers, cheapest first:
 import random
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.serve import schema
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.server import ExploreServer
 from repro.serve.schema import RequestError
+from repro.serve.session import ScopeLane, WorkItem
 
 #: Minimal-effort explore settings (sub-100ms per fresh fingerprint).
 FAST = dict(profile="quick", iterations=8, restarts=1)
@@ -308,6 +310,151 @@ def test_memo_serves_repeat_fingerprints(server, client):
     again = client.explore("crc32", seed=5, **FAST)
     assert first == again
     assert server.counters.get("serve.memo_hits", 0) >= 1
+
+
+def _count_lane_calls(monkeypatch):
+    """Count ``ScopeLane.submit`` and ``ScopeLane._select`` calls."""
+    calls = {"submit": 0, "select": 0}
+    submit, select = ScopeLane.submit, ScopeLane._select
+
+    def counted_submit(self, item):
+        calls["submit"] += 1
+        return submit(self, item)
+
+    def counted_select(req, explored, flow):
+        calls["select"] += 1
+        return select(req, explored, flow)
+
+    monkeypatch.setattr(ScopeLane, "submit", counted_submit)
+    monkeypatch.setattr(ScopeLane, "_select", staticmethod(counted_select))
+    return calls
+
+
+def _one_shot_selection(seed, max_area):
+    return schema.selection_payload(
+        api.evaluate("crc32", seed=seed, max_area=max_area, **FAST))
+
+
+def test_repeats_are_answered_on_the_loop(server, client, monkeypatch):
+    """A second identical explore or evaluate never reaches the lane."""
+    calls = _count_lane_calls(monkeypatch)
+    explored = client.explore("crc32", seed=6, **FAST)
+    chosen = client.evaluate("crc32", seed=6, max_area=80_000.0, **FAST)
+    assert calls == {"submit": 2, "select": 1}
+    assert client.explore("crc32", seed=6, **FAST) == explored
+    assert client.evaluate("crc32", seed=6, max_area=80_000.0,
+                           **FAST) == chosen
+    assert calls == {"submit": 2, "select": 1}
+    reference = schema.explore_payload(api.explore("crc32", seed=6, **FAST))
+    assert schema.explore_digest(explored) \
+        == schema.explore_digest(reference)
+    assert schema.selection_digest(chosen) == schema.selection_digest(
+        _one_shot_selection(6, 80_000.0))
+    # An equal budget of another type echoes differently, so it is a
+    # different answer and is selected afresh.
+    other = client.evaluate("crc32", seed=6, max_area=80_000, **FAST)
+    assert calls["select"] == 2
+    assert other["max_area"] == 80_000 and other["digest"] != chosen["digest"]
+
+
+def test_memo_hits_count_once_on_either_path(server, client, monkeypatch):
+    calls = _count_lane_calls(monkeypatch)
+    explore = dict(FAST, op="explore", workload="crc32", seed=7)
+    evaluate = dict(explore, op="evaluate", max_area=20_000.0)
+
+    def hits():
+        return server.counters.get("serve.memo_hits", 0)
+
+    client.request(explore)                    # fresh: explored on the lane
+    assert (hits(), calls["submit"]) == (0, 1)
+    client.request(explore)                    # loop hit
+    assert (hits(), calls["submit"]) == (1, 1)
+    client.request(evaluate)                   # lane memo branch: selects
+    assert (hits(), calls["submit"], calls["select"]) == (2, 2, 1)
+    client.request(evaluate)                   # loop hit
+    assert (hits(), calls["submit"], calls["select"]) == (3, 2, 1)
+    # A request queued straight onto the lane (as a submit job is)
+    # answers through the lane's memo branch and counts once there.
+    answers = []
+    lane = server.registry.lane(schema.request_scope(
+        schema.validate_request(explore)))
+    for body in (explore, evaluate):
+        done = threading.Event()
+        lane.submit(WorkItem(schema.validate_request(body),
+                             lambda payload: (answers.append(payload),
+                                              done.set()),
+                             lambda error: done.set()))
+        assert done.wait(30.0)
+    assert hits() == 5 and calls["select"] == 1
+    assert answers[0] == client.request(explore)
+    assert answers[1] == client.request(evaluate)
+    assert hits() == 7
+
+
+def test_concurrent_loop_hits_race_memo_eviction(monkeypatch):
+    """Clients mix memo hits with fresh fingerprints while a two-entry
+    memo evicts under them; every answer matches its one-shot answer."""
+    seeds = (201, 202, 203, 204)
+    budgets = (20_000.0, 320_000.0)
+    explores = {seed: schema.explore_digest(schema.explore_payload(
+        api.explore("crc32", seed=seed, **FAST))) for seed in seeds}
+    selections = {(seed, area): schema.selection_digest(
+        _one_shot_selection(seed, area))
+        for seed in seeds for area in budgets}
+    calls = _count_lane_calls(monkeypatch)
+    srv = ExploreServer(port=0, memo_entries=2)
+    srv.start_in_thread()
+    mismatches, errors = [], []
+
+    def run(index):
+        order = random.Random(index).sample(
+            [(seed, area) for seed in seeds for area in (None,) + budgets]
+            * 3, 36)
+        try:
+            with ServiceClient(srv.address, timeout=120.0) as c:
+                for seed, area in order:
+                    if area is None:
+                        got = c.explore("crc32", seed=seed, **FAST)
+                        got, want = schema.explore_digest(got), \
+                            explores[seed]
+                    else:
+                        got = c.evaluate("crc32", seed=seed,
+                                         max_area=area, **FAST)
+                        got, want = schema.selection_digest(got), \
+                            selections[(seed, area)]
+                    if got != want:
+                        mismatches.append((seed, area))
+        except Exception as error:          # surfaced below
+            errors.append(error)
+
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(300.0)
+        assert not errors and not mismatches
+        assert srv.counters.get("serve.memo_hits", 0) > 0
+        (lane,) = [srv.registry.lane(scope)
+                   for scope in srv.registry.scopes()]
+        assert lane.memo_size() <= 2
+        # Evict seed 201's entry: its evaluate answers go with it, so the
+        # same evaluate is selected again, and still gives the same answer.
+        with ServiceClient(srv.address, timeout=120.0) as c:
+            c.evaluate("crc32", seed=201, max_area=20_000.0, **FAST)
+            for seed in (202, 203):
+                c.explore("crc32", seed=seed, **FAST)
+            assert lane.answer(schema.validate_request(dict(
+                FAST, op="evaluate", workload="crc32", seed=201,
+                max_area=20_000.0))) is None
+            before = calls["select"]
+            again = c.evaluate("crc32", seed=201, max_area=20_000.0, **FAST)
+            assert calls["select"] == before + 1
+            assert schema.selection_digest(again) \
+                == selections[(201, 20_000.0)]
+    finally:
+        srv.stop()
 
 
 def test_request_multiplexing_out_of_order_waits(server, client):

@@ -55,6 +55,27 @@ def test_run_sweep_validates_inputs():
         run_sweep(workloads=("crc32",), machines=MACHINES, budgets=())
 
 
+@pytest.mark.parametrize("issue", [True, 0, 2.0])
+def test_run_sweep_refuses_a_non_integer_issue(issue, monkeypatch):
+    """The serve schema's rule: an int, not a bool, at least 1."""
+    from repro import api
+
+    cells = []
+    monkeypatch.setattr(api, "explore",
+                        lambda *a, **k: cells.append(a) or 1 / 0)
+    with pytest.raises(ReproError, match="issue must be a positive"):
+        api_sweep(["crc32"], machines=[("6/3", 3), ("4/2", issue)],
+                  budgets=BUDGETS, iterations=6, restarts=1)
+    assert cells == []                         # refused before any cell
+
+
+def test_run_sweep_runs_an_integer_issue(shared_disk_cache):
+    result = api_sweep(["crc32"], machines=[("4/2", 2)], budgets=BUDGETS,
+                       iterations=6, restarts=1)
+    assert result.machines == (("4/2", 2),)
+    assert {row.issue for row in result.rows} == {2}
+
+
 # -- the bit-parity contract ------------------------------------------------
 
 def test_pooled_sweep_equals_serial(monkeypatch, tmp_path):
@@ -107,6 +128,28 @@ def test_schema_1_payload_is_refused():
     with pytest.raises(ReproError,
                        match="unsupported sweep payload schema 1"):
         SweepResult.from_payload(legacy)
+
+
+def test_truncated_payload_names_the_missing_key():
+    with pytest.raises(ReproError, match="no 'workloads'"):
+        SweepResult.from_payload({"_schema": 2})
+    payload = _result([_row()]).to_payload()
+    del payload["rows"][0]["area"]
+    with pytest.raises(ReproError, match="sweep row has no 'area'"):
+        SweepResult.from_payload(payload)
+
+
+@pytest.mark.parametrize("edit", ["delete", "null"])
+def test_payload_without_a_digest_is_refused(edit):
+    result = _result([_row()])
+    payload = json.loads(json.dumps(result.to_payload()))
+    assert SweepResult.from_payload(payload) == result
+    if edit == "delete":
+        del payload["digest"]
+    else:
+        payload["digest"] = None
+    with pytest.raises(ReproError, match="'digest'"):
+        SweepResult.from_payload(payload)
 
 
 def _row(workload="w", ports="4/2", issue=2, budget=1.0):
