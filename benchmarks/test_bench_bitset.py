@@ -3,7 +3,8 @@
 Probes a 96-node fuzz block (the size regime where §4.2 checks dominate
 exploration time) with a 2000-candidate pool three ways:
 
-* the set-based reference (``is_legal_reference`` — the oracle),
+* the frozen set-based reference (``is_legal_reference`` from
+  ``tests/legality_oracle.py`` — the oracle),
 * the scalar bitset fast path (``BitsetDFG.is_legal``),
 * the batched row API (the whole pool packed to int rows, one call).
 
@@ -12,11 +13,11 @@ wall-clock contract — scalar and batched each ≥5x the reference on the
 same pool — follows the repo convention: asserted when
 ``REPRO_BENCH_STRICT=1`` (reference hosts) and recorded otherwise.
 
-The second half is the engine A/B: the scalar golden engine
+The second half is the engine check: the scalar golden engine
 (``batch=1``, same blocks/parameters/seed as ``test_bench_sched.py``)
-is run once with ``REPRO_BITSET=0`` and once with the kernel live, and
-both runs must reproduce the pinned scalar ``GOLDEN_DIGEST`` — the
-kernel is an exact transformation, not a new RNG lineage.
+runs on the kernel, its only legality path, and must reproduce the
+pinned scalar ``GOLDEN_DIGEST`` — the kernel is an exact
+transformation, not a new RNG lineage.
 
 Timings and digests land in ``BENCH_bitset.json``.
 """
@@ -25,17 +26,20 @@ import hashlib
 import json
 import os
 import random
+import sys
 import time
 
 from repro.config import ExplorationParams, ISEConstraints
 from repro.engines.aco import AcoEngine
-from repro.graph import analysis
-from repro.graph.bitset import BITSET_ENV, bitset_view
+from repro.graph.bitset import bitset_view
 from repro.graph.fuzz import random_dfg, random_members
 from repro.sched.machine import MachineConfig
 
 from conftest import run_once
 from test_bench_sched import GOLDEN_DIGEST, _hot_dfgs, _signature
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+import legality_oracle  # noqa: E402
 
 N_NODES = 96
 N_CANDIDATES = 2000
@@ -71,21 +75,13 @@ def _best_of(fn):
     return best
 
 
-def _engine_digest(bitset_on):
-    previous = os.environ.get(BITSET_ENV)
-    os.environ[BITSET_ENV] = "1" if bitset_on else "0"
-    try:
-        explorer = AcoEngine(
-            MachineConfig(2, "4/2"),
-            params=ExplorationParams(max_iterations=80, restarts=4,
-                                     max_rounds=6),
-            seed=17, batch=1)
-        results = explorer.explore_many(_hot_dfgs(), jobs=1)
-    finally:
-        if previous is None:
-            os.environ.pop(BITSET_ENV, None)
-        else:
-            os.environ[BITSET_ENV] = previous
+def _engine_digest():
+    explorer = AcoEngine(
+        MachineConfig(2, "4/2"),
+        params=ExplorationParams(max_iterations=80, restarts=4,
+                                 max_rounds=6),
+        seed=17, batch=1)
+    results = explorer.explore_many(_hot_dfgs(), jobs=1)
     sigs = [_signature(r) for r in results]
     return hashlib.sha256(repr(sigs).encode()).hexdigest()
 
@@ -96,7 +92,7 @@ def test_bench_bitset_kernel(benchmark):
     assert view is not None
 
     def reference():
-        return [analysis.is_legal_reference(dfg, members, CONS)
+        return [legality_oracle.is_legal_reference(dfg, members, CONS)
                 for members in candidates]
 
     def scalar():
@@ -122,13 +118,10 @@ def test_bench_bitset_kernel(benchmark):
     scalar_x = times["reference"] / times["scalar"]
     batched_x = times["reference"] / times["batched"]
 
-    # Hard contract: the kernel is observationally invisible to the
-    # engines — the scalar golden lineage reproduces with and without
-    # the kernel live.
-    digest_off = _engine_digest(bitset_on=False)
-    digest_on = _engine_digest(bitset_on=True)
-    assert digest_off == GOLDEN_DIGEST
-    assert digest_on == GOLDEN_DIGEST
+    # Hard contract: the engines on the kernel reproduce the scalar
+    # golden lineage.
+    digest = _engine_digest()
+    assert digest == GOLDEN_DIGEST
 
     payload = {
         "nodes": N_NODES,
@@ -143,8 +136,7 @@ def test_bench_bitset_kernel(benchmark):
         "speedup_batched": round(batched_x, 2),
         "speedup_gate": SPEEDUP_GATE,
         "engine_golden_digest": GOLDEN_DIGEST,
-        "engine_digest_bitset_off": digest_off,
-        "engine_digest_bitset_on": digest_on,
+        "engine_digest": digest,
     }
     with open(OUT_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

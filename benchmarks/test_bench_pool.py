@@ -61,7 +61,6 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
     # wall-clock gates below stay opt-in via REPRO_BENCH_STRICT.
     monkeypatch.setattr(parallel, "_available_cpus",
                         lambda: max(4, os.cpu_count() or 1))
-    monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
     shutdown_pools()
 
     dfgs = _hot_dfgs()

@@ -120,9 +120,7 @@ def test_bench_sched_kernel(benchmark):
     # workers) is observationally invisible.
     assert [_signature(r) for r in pooled] == sigs
 
-    hits, misses, entries = (explorer._evalcache.stats()
-                             if explorer._evalcache is not None
-                             else (0, 0, 0))
+    hits, misses, entries = explorer._evalcache.stats()
     lookups = hits + misses
     iterations = sum(r.iterations for r in serial)
     rate = iterations / serial_s

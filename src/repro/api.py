@@ -166,7 +166,7 @@ def explore(workload, *, issue=2, ports="4/2", profile="quick", jobs=None,
     jobs:
         Worker processes (``None`` → ``$REPRO_JOBS`` or serial); the
         result is bit-identical at any setting.  Pooled workers persist
-        across calls (``REPRO_POOL_PERSIST=0`` opts out).
+        across calls until :func:`repro.core.pool.shutdown_pools`.
     batch:
         Ants advanced in lockstep per ACO iteration batch (``None`` →
         ``$REPRO_ANT_BATCH`` or 16).  ``batch=1`` updates trails and

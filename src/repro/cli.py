@@ -73,8 +73,7 @@ def _add_effort_args(parser):
                              "(default: $REPRO_JOBS or serial); results "
                              "are identical at any setting; workers "
                              "persist in a shared-memory pool across "
-                             "explorations (REPRO_POOL_PERSIST=0 "
-                             "disables reuse)")
+                             "explorations")
     parser.add_argument("--batch", default=None, metavar="B",
                         help="ants advanced in lockstep per ACO "
                              "iteration batch (default: $REPRO_ANT_BATCH "

@@ -23,9 +23,8 @@ Keys are canonical fingerprints:
 * the **software latencies** the evaluation saw (from the io tables).
 
 Because the memoised value is exactly what the evaluation would have
-recomputed, results are bit-identical with the cache on or off; the
-``REPRO_EVALCACHE`` environment variable (default on) exists for A/B
-timing, not correctness.  One cache is shared across all rounds and
+recomputed, a hit returns the cycle count the engine would have
+computed for that exact call.  One cache is shared across all rounds and
 restarts of a block (and across blocks — the DFG digest keys them
 apart).  Under ``jobs>1`` the cache pickles as a read-only warm
 snapshot: workers start from whatever the parent had accumulated and
@@ -46,24 +45,12 @@ explorer passes in — without it a 2-issue cycle count could answer a
 """
 
 import hashlib
-import os
 
 from .pool import shared_key_bytes, worker_cache_note, worker_shared_cache
-
-#: Environment variable disabling the evaluation memo (set to ``0``).
-EVALCACHE_ENV = "REPRO_EVALCACHE"
 
 #: Entry cap — a backstop against pathological candidate churn, far
 #: above what any real block produces.
 MAX_ENTRIES = 1 << 17
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def evalcache_enabled():
-    """True unless ``REPRO_EVALCACHE`` disables the memo."""
-    return os.environ.get(EVALCACHE_ENV, "1").strip().lower() not in _FALSY
-
 
 def eval_scope(machine, technology):
     """The canonical scope string of one (machine, technology) pair.

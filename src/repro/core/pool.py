@@ -34,8 +34,6 @@ shared-cache hit returns exactly the cycle count the evaluation would
 have recomputed.  Observability records are replayed in task
 (= serial fire) order even when a stolen task finishes early.
 
-``REPRO_POOL_PERSIST=0`` is the escape hatch: every dispatch then runs
-on a throwaway pool (same work-stealing path, no warm state).
 Segments are unlinked on :func:`shutdown_pools` — wired into
 ``EvalContext.close()`` — and by an ``atexit`` fallback, so a crashed
 or killed run does not strand ``/dev/shm`` blocks.
@@ -55,29 +53,9 @@ import numpy as np
 from ..errors import ReproError
 from ..obs import capture
 
-#: Set to ``0`` to tear the pool down after every dispatch.
-POOL_PERSIST_ENV = "REPRO_POOL_PERSIST"
-
-#: Slot count of the shared evalcache segment (24 bytes per slot).
-POOL_SHARED_SLOTS_ENV = "REPRO_POOL_SHARED_SLOTS"
-
-_DEFAULT_SLOTS = 1 << 15
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def pool_persist_enabled():
-    """True unless ``REPRO_POOL_PERSIST`` disables pool reuse."""
-    return os.environ.get(POOL_PERSIST_ENV, "1").strip().lower() \
-        not in _FALSY
-
-
-def _shared_slots():
-    try:
-        slots = int(os.environ.get(POOL_SHARED_SLOTS_ENV, _DEFAULT_SLOTS))
-    except ValueError:
-        return _DEFAULT_SLOTS
-    return max(64, slots)
+#: Slot count of the shared evalcache segment (24 bytes per slot, so
+#: 768 KiB; inserts stop at 85% load).
+SHARED_SLOTS = 1 << 15
 
 
 def shared_key_bytes(scope, key):
@@ -105,7 +83,7 @@ class SharedEvalCache:
     ROW_BYTES = 24
 
     def __init__(self, slots=None, _attach_name=None):
-        self.slots = slots if slots is not None else _shared_slots()
+        self.slots = slots if slots is not None else SHARED_SLOTS
         if _attach_name is None:
             self._shm = shared_memory.SharedMemory(
                 create=True, size=self.slots * self.ROW_BYTES)
@@ -642,16 +620,8 @@ def dispatch(function, tasks, jobs, obs=None, costs=None):
         _fire_dispatch_hooks("start", info)
         ok = False
         try:
-            if pool_persist_enabled():
-                results = get_pool(jobs).run(function, tasks, jobs=jobs,
-                                             obs=obs, costs=costs)
-            else:
-                pool = WorkerPool(jobs)
-                try:
-                    results = pool.run(function, tasks, jobs=jobs, obs=obs,
-                                       costs=costs)
-                finally:
-                    pool.shutdown()
+            results = get_pool(jobs).run(function, tasks, jobs=jobs,
+                                         obs=obs, costs=costs)
             ok = True
             return results
         finally:

@@ -159,8 +159,8 @@ class AcoEngine(ExplorerEngine):
         obs = self.obs
         if obs:
             cache = self._evalcache
-            before = cache.stats() if cache is not None else None
-            before_shared = cache.shared_hits if cache is not None else 0
+            before = cache.stats()
+            before_shared = cache.shared_hits
             skeleton = block_skeleton(dfg)
             prefix_hits = skeleton.prefix_hits
             prefix_misses = skeleton.prefix_misses
@@ -171,13 +171,12 @@ class AcoEngine(ExplorerEngine):
                       skeleton.prefix_hits - prefix_hits)
             obs.count("sched.prefix_memo_misses",
                       skeleton.prefix_misses - prefix_misses)
-            if cache is not None:
-                hits, misses, entries = cache.stats()
-                obs.count("evalcache.hits", hits - before[0])
-                obs.count("evalcache.misses", misses - before[1])
-                obs.count("evalcache.shared_hits",
-                          cache.shared_hits - before_shared)
-                obs.gauge("evalcache.entries", entries)
+            hits, misses, entries = cache.stats()
+            obs.count("evalcache.hits", hits - before[0])
+            obs.count("evalcache.misses", misses - before[1])
+            obs.count("evalcache.shared_hits",
+                      cache.shared_hits - before_shared)
+            obs.gauge("evalcache.entries", entries)
             return result
         return self._explore_once(dfg, rng, io_tables, restart=restart)
 

@@ -41,7 +41,7 @@ from ..hwlib.technology import DEFAULT_TECHNOLOGY
 from ..obs import ensure_observer
 from ..sched.list_scheduler import list_schedule
 from ..sched.units import block_skeleton, contract_dfg
-from ..core.evalcache import EvalCache, eval_scope, evalcache_enabled
+from ..core.evalcache import EvalCache, eval_scope
 from ..core.parallel import parallel_map, resolve_jobs
 
 
@@ -234,7 +234,7 @@ class ExplorerEngine:
         #: Uncached ``_evaluate`` computations this instance performed.
         self.stat_evaluations = 0
         #: Memo of deterministic candidate evaluations, shared across
-        #: rounds, restarts and blocks (``REPRO_EVALCACHE=0`` disables).
+        #: rounds, restarts and blocks.
         #: Pool workers receive it inside the pickled engine as a
         #: warm read-only snapshot and additionally probe the pool's
         #: cross-worker shared tier, whose keys are scoped by the
@@ -242,7 +242,7 @@ class ExplorerEngine:
         #: both, and the shared tier outlives this engine (see
         #: :mod:`repro.core.evalcache`).
         scope = eval_scope(self.machine, self.technology)
-        self._evalcache = EvalCache(scope) if evalcache_enabled() else None
+        self._evalcache = EvalCache(scope)
 
     # -- the protocol ------------------------------------------------------
 
@@ -283,9 +283,7 @@ class ExplorerEngine:
 
     def stats(self):
         """An :class:`EngineStats` snapshot of this instance."""
-        hits = misses = entries = 0
-        if self._evalcache is not None:
-            hits, misses, entries = self._evalcache.stats()
+        hits, misses, entries = self._evalcache.stats()
         budget = self.budget
         return EngineStats(
             engine=self.name or type(self).__name__,
@@ -321,12 +319,10 @@ class ExplorerEngine:
             software_cycles, latencies = block_skeleton(dfg).latencies(
                 io_tables)
         cache = self._evalcache
-        key = None
-        if cache is not None:
-            key = cache.key(dfg, candidates, latencies)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
+        key = cache.key(dfg, candidates, latencies)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
         if self.budget is not None:
             self.budget.charge()
         self.stat_evaluations += 1
@@ -335,8 +331,7 @@ class ExplorerEngine:
                                     software_cycles=software_cycles)
         schedule = list_schedule(graph, units, self.machine)
         makespan = schedule.makespan
-        if cache is not None:
-            cache.put(key, makespan)
+        cache.put(key, makespan)
         return makespan
 
     def _min_delay_options(self, dfg, members):

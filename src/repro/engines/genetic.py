@@ -160,12 +160,8 @@ class GeneticEngine(ExplorerEngine):
         genotype back unchanged (one connected component, convex,
         port-legal, >=2 nodes), so :meth:`_fitness` can skip the repair
         walk entirely.  Genotypes already memoised need no verdict, and
-        everything else (including when the kernel is disabled) takes
-        the full repair path — results are identical either way.
+        everything else takes the full repair path.
         """
-        view = bitset_view(dfg)
-        if view is None:
-            return {}
         fresh = []
         seen = set()
         for one in population:
@@ -174,6 +170,7 @@ class GeneticEngine(ExplorerEngine):
                 fresh.append(one)
         if not fresh:
             return {}
+        view = bitset_view(dfg)
         legal = view.legal_rows(view.pack_rows(fresh), self.constraints)
         return {one: bool(ok) and view.is_connected(one)
                 for one, ok in zip(fresh, legal)}

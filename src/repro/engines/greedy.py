@@ -114,24 +114,19 @@ class GreedyEngine(ExplorerEngine):
         """Absorb legal fringe neighbours by collapsed-chain gain.
 
         The per-step legality filter over the grow frontier runs as one
-        batched bitset call when the kernel is enabled; candidates are
-        kept in fringe iteration order either way, so the strict ``>``
-        tie-break picks the same absorption as the scalar path.
+        batched bitset call; candidates are kept in fringe iteration
+        order, so the strict ``>`` tie-break picks the first of equal
+        gains.
         """
         members = {seed}
         view = bitset_view(dfg)
         while len(members) < self.max_size:
             nodes = [node for node in _fringe(dfg, members)
                      if node not in taken and dfg.op(node).groupable]
-            if view is not None and len(nodes) > 1:
-                trials = [members | {node} for node in nodes]
-                legal = view.legal_rows(view.pack_rows(trials),
-                                        self.constraints)
-                nodes = [node for node, ok in zip(nodes, legal) if ok]
-            else:
-                nodes = [node for node in nodes
-                         if is_legal(dfg, members | {node},
-                                     self.constraints)]
+            trials = [members | {node} for node in nodes]
+            legal = view.legal_rows(view.pack_rows(trials),
+                                    self.constraints)
+            nodes = [node for node, ok in zip(nodes, legal) if ok]
             best_next, best_gain = None, 0.0
             for node in nodes:
                 trial = members | {node}

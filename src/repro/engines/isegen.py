@@ -183,13 +183,9 @@ class IsegenEngine(ExplorerEngine):
         run as ONE batched bitset call instead of a set walk per probe;
         scores are then assembled with exactly :meth:`_quality`'s
         arithmetic (same component order, same float summation), so the
-        memo contents are bit-identical to the scalar path's.  A no-op
-        when the kernel is disabled — the per-trial loop then computes
-        everything itself.
+        memo contents are bit-identical to what the per-trial loop would
+        compute.
         """
-        view = bitset_view(dfg)
-        if view is None:
-            return
         pending = []          # (memo key, [(component, is_big)] in order)
         big = []              # every >=2-node component, across trials
         for uid in frontier:
@@ -207,6 +203,7 @@ class IsegenEngine(ExplorerEngine):
                     score -= 0.05
                 memo[key] = score
             return
+        view = bitset_view(dfg)
         rows = view.pack_rows(big)
         n_in, n_out = view.io_counts_rows(rows)
         convex = view.convex_rows(rows)

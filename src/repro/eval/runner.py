@@ -1,11 +1,12 @@
-"""Experiment runner with cached exploration.
+"""Experiment runner with memoised exploration.
 
 Exploration (ACO, per workload × machine × opt-level × algorithm) is
 the expensive part of every chapter-5 experiment, while budget sweeps
 (area, ISE count) only redo selection + replacement.  The
-:class:`EvalContext` caches :class:`~repro.core.flow.ExploredApplication`
-bundles so one pytest session regenerates all three figures from a
-single exploration pass.
+:class:`EvalContext` memoises :class:`~repro.core.flow.ExploredApplication`
+bundles in-process so one pytest session regenerates all three figures
+from a single exploration pass.  Nothing is kept across processes:
+every context explores fresh under the settings it names.
 
 Effort profiles trade fidelity for wall-clock:
 
@@ -29,7 +30,6 @@ from ..errors import ReproError
 from ..obs import ensure_observer
 from ..sched.machine import MachineConfig
 from ..workloads import all_workloads, get_workload
-from .persistence import ExplorationCache
 
 logger = logging.getLogger("repro.eval")
 
@@ -53,10 +53,10 @@ def default_profile():
 
 
 class EvalContext:
-    """Caches explorations; serves budget-sweep evaluations."""
+    """Memoises explorations; serves budget-sweep evaluations."""
 
     def __init__(self, profile=None, seed=7, workload_names=None,
-                 jobs=None, disk_cache=None, obs=None):
+                 jobs=None, obs=None):
         profile = profile or default_profile()
         if profile not in PROFILES:
             raise ReproError(
@@ -79,8 +79,6 @@ class EvalContext:
                 "EvalContext needs at least one workload; got an empty "
                 "workload_names list")
         self.obs = ensure_observer(obs)
-        self.disk_cache = ExplorationCache(obs=self.obs) \
-            if disk_cache is None else disk_cache
         self._cache = {}
         # In-process memoisation tallies — previously invisible (the
         # "cache stats" bugfix): surfaced via cache_stats(), the
@@ -100,21 +98,8 @@ class EvalContext:
             max_blocks=self.max_blocks, engine=_ENGINE_OF[algorithm],
             jobs=self.jobs, obs=self.obs)
 
-    def _disk_key(self, workload_name, machine, opt_level, algorithm):
-        return self.disk_cache.key(
-            workload=workload_name, machine=machine.label,
-            opt=opt_level, algorithm=algorithm, profile=self.profile,
-            params=vars(self.params), seed=self.seed,
-            max_blocks=self.max_blocks)
-
     def explored(self, workload_name, machine, opt_level, algorithm="MI"):
-        """Cached ``(flow, ExploredApplication)`` for one cell.
-
-        Results are memoised in-process and, unless ``REPRO_CACHE=0``,
-        persisted to disk keyed by every input that determines the
-        exploration outcome — so a second session with identical
-        settings skips the ACO runs entirely.
-        """
+        """Memoised ``(flow, ExploredApplication)`` for one cell."""
         key = (workload_name, machine.label, opt_level, algorithm)
         obs = self.obs
         if key not in self._cache:
@@ -122,17 +107,12 @@ class EvalContext:
             if obs:
                 obs.count("cache.memory_miss")
             flow = self._flow(machine, algorithm)
-            disk_key = self._disk_key(
-                workload_name, machine, opt_level, algorithm)
-            explored = self.disk_cache.load(disk_key)
-            if explored is None:
-                # A fresh build per cell: the flow's front-end memo keys
-                # on program content, so equal builds share stage 1.
-                program, args = get_workload(workload_name).build()
-                with obs.timer("eval.explore"):
-                    explored = flow.explore_application(
-                        program, args=args, opt_level=opt_level)
-                self.disk_cache.store(disk_key, explored)
+            # A fresh build per cell: the flow's front-end memo keys on
+            # program content, so equal builds share stage 1.
+            program, args = get_workload(workload_name).build()
+            with obs.timer("eval.explore"):
+                explored = flow.explore_application(
+                    program, args=args, opt_level=opt_level)
             self._cache[key] = (flow, explored)
         else:
             self.memory_hits += 1
@@ -143,15 +123,10 @@ class EvalContext:
     # -- cache stats / teardown -------------------------------------------
 
     def cache_stats(self):
-        """Hit/miss tallies of the memory and disk caches of this context."""
-        disk = self.disk_cache
+        """Hit/miss tallies of this context's exploration memo."""
         return {
             "memory_hits": self.memory_hits,
             "memory_misses": self.memory_misses,
-            "disk_hits": getattr(disk, "hits", 0),
-            "disk_misses": getattr(disk, "misses", 0),
-            "disk_stores": getattr(disk, "stores", 0),
-            "disk_evictions": getattr(disk, "evictions", 0),
         }
 
     def close(self):
@@ -173,10 +148,8 @@ class EvalContext:
             self._closed = True
         stats = self.cache_stats()
         logger.info(
-            "EvalContext cache: memory %d hit(s) / %d miss(es), "
-            "disk %d hit(s) / %d miss(es) / %d store(s)",
-            stats["memory_hits"], stats["memory_misses"],
-            stats["disk_hits"], stats["disk_misses"], stats["disk_stores"])
+            "EvalContext cache: memory %d hit(s) / %d miss(es)",
+            stats["memory_hits"], stats["memory_misses"])
         if self.obs:
             self.obs.event("eval.cache_summary", **stats)
         from ..core.pool import shutdown_pools

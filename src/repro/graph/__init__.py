@@ -16,7 +16,7 @@ from .analysis import (
     slack,
     violates_memory_rule,
 )
-from .bitset import BitsetDFG, bitset_enabled, bitset_view
+from .bitset import BitsetDFG, bitset_view
 from .fuzz import random_dfg
 from .subgraph import (
     contains_pattern,
@@ -33,7 +33,6 @@ __all__ = [
     "BitsetDFG",
     "alap_schedule",
     "asap_schedule",
-    "bitset_enabled",
     "bitset_view",
     "build_dfg",
     "candidate_to_dot",

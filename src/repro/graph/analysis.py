@@ -7,7 +7,6 @@ observe) and the timing quantities the merit function consumes
 
 import networkx as nx
 
-from ..errors import ConstraintError
 from .bitset import bitset_view
 
 
@@ -55,53 +54,22 @@ def output_values(dfg, members):
 def io_counts(dfg, members):
     """``(|IN(S)|, |OUT(S)|)`` port counts of a membership set.
 
-    The size-only form of :func:`input_values`/:func:`output_values`:
-    callers that never look at the value *names* (constraint checks,
-    merit shaping, legalisation) go through the packed bitset kernel
-    when it is enabled and fall back to the set-based reference
-    otherwise — the counts are identical either way.
+    The size-only form of :func:`input_values`/:func:`output_values`
+    for callers that never look at the value *names* (constraint
+    checks, merit shaping, legalisation), answered by the packed
+    bitset kernel (:mod:`repro.graph.bitset`).
     """
-    view = bitset_view(dfg)
-    if view is not None:
-        return view.io_counts(members)
-    return (len(input_values(dfg, members)),
-            len(output_values(dfg, members)))
+    return bitset_view(dfg).io_counts(members)
 
 
 def is_convex(dfg, members):
     """§4.2 convexity: no path between two members leaves the subgraph.
 
     Equivalent check: no non-member node is simultaneously reachable
-    *from* a member and an ancestor *of* a member.  Dispatches to the
-    packed closure-row kernel (:mod:`repro.graph.bitset`) when enabled;
-    :func:`is_convex_reference` is the set-based oracle.
+    *from* a member and an ancestor *of* a member — one AND of the
+    packed closure rows (:mod:`repro.graph.bitset`).
     """
-    view = bitset_view(dfg)
-    if view is not None:
-        return view.is_convex(members)
-    return is_convex_reference(dfg, members)
-
-
-def is_convex_reference(dfg, members):
-    """Set-based reference convexity check (the bitset kernel's oracle)."""
-    members = set(members)
-    if len(members) <= 1:
-        return True
-    reachable_from_s = set()
-    for uid in members:
-        for succ in dfg.successors(uid):
-            if succ not in members:
-                reachable_from_s.add(succ)
-    # Forward closure of the escape frontier.
-    frontier = list(reachable_from_s)
-    while frontier:
-        node = frontier.pop()
-        for succ in dfg.successors(node):
-            if succ not in reachable_from_s:
-                reachable_from_s.add(succ)
-                frontier.append(succ)
-    # Convex iff the closure never re-enters S.
-    return not any(node in members for node in reachable_from_s)
+    return bitset_view(dfg).is_convex(members)
 
 
 def violates_memory_rule(dfg, members):
@@ -112,52 +80,16 @@ def violates_memory_rule(dfg, members):
 def check_candidate(dfg, members, constraints):
     """Raise :class:`~repro.errors.ConstraintError` when S is illegal.
 
-    Dispatches to the packed kernel when enabled — same check order,
-    same error messages; :func:`check_candidate_reference` stays as the
-    set-based oracle.
+    Checks run in a fixed order — empty, memory operations, ungroupable
+    operations, ``IN``, ``OUT``, convexity — and the first failure
+    names the rule.
     """
-    view = bitset_view(dfg)
-    if view is not None:
-        view.check_candidate(members, constraints)
-        return
-    check_candidate_reference(dfg, members, constraints)
-
-
-def check_candidate_reference(dfg, members, constraints):
-    """Set-based reference legality check (the bitset kernel's oracle)."""
-    if not members:
-        raise ConstraintError("empty candidate")
-    if violates_memory_rule(dfg, members):
-        raise ConstraintError("candidate contains memory operations")
-    if any(not dfg.op(uid).groupable for uid in members):
-        raise ConstraintError("candidate contains ungroupable operations")
-    n_in = len(input_values(dfg, members))
-    if n_in > constraints.n_in:
-        raise ConstraintError(
-            "IN(S)={} exceeds Nin={}".format(n_in, constraints.n_in))
-    n_out = len(output_values(dfg, members))
-    if n_out > constraints.n_out:
-        raise ConstraintError(
-            "OUT(S)={} exceeds Nout={}".format(n_out, constraints.n_out))
-    if not is_convex_reference(dfg, members):
-        raise ConstraintError("candidate is not convex")
+    bitset_view(dfg).check_candidate(members, constraints)
 
 
 def is_legal(dfg, members, constraints):
     """Boolean form of :func:`check_candidate`."""
-    view = bitset_view(dfg)
-    if view is not None:
-        return view.is_legal(members, constraints)
-    return is_legal_reference(dfg, members, constraints)
-
-
-def is_legal_reference(dfg, members, constraints):
-    """Boolean form of :func:`check_candidate_reference` (the oracle)."""
-    try:
-        check_candidate_reference(dfg, members, constraints)
-    except ConstraintError:
-        return False
-    return True
+    return bitset_view(dfg).is_legal(members, constraints)
 
 
 # -- timing: ASAP / ALAP / critical path ------------------------------------

@@ -2,11 +2,10 @@
 
 Every engine except ACO spends its inner loop in the §4.2 legality
 checks of :mod:`repro.graph.analysis` — convexity, IN/OUT port
-counting, the memory and groupability rules.  The set-based reference
-implementations rebuild Python-set closures per probe; this module
-packs the same questions into bit-parallel word arithmetic so one
-candidate check is a handful of AND/OR/popcount operations on
-arbitrary-precision ints.
+counting, the memory and groupability rules.  This module is the one
+implementation of those checks: it packs them into bit-parallel word
+arithmetic, so one candidate check is a handful of AND/OR/popcount
+operations on arbitrary-precision ints.
 
 A :class:`BitsetDFG` is a derived, read-only view of one (frozen)
 :class:`~repro.graph.dfg.DFG`:
@@ -20,7 +19,7 @@ A :class:`BitsetDFG` is a derived, read-only view of one (frozen)
   the DFG's :class:`~repro.graph.tables.DFGTables` (which reader set
   pulls a value in, which producer bit pushes one out) turn
   ``IN``/``OUT`` counting into masked any-tests grouped by value id —
-  bit-identical to :func:`~repro.graph.analysis.input_values` /
+  the same counts as :func:`~repro.graph.analysis.input_values` /
   :func:`~repro.graph.analysis.output_values` even for non-SSA names
   with several producers,
 * memory / ungroupable / output masks answer the remaining §4.2 rules
@@ -35,36 +34,21 @@ The closure rows are ``O(n²/64)`` words per block, built lazily on the
 first legality query and cached on the DFG (dropped on any mutation
 and never pickled — pool workers rebuild their own).  The view holds
 no reference back to its DFG, so a DFG and its view die by reference
-count.  The set-based implementations remain in
-:mod:`repro.graph.analysis` as the oracle; ``REPRO_BITSET=0`` forces
-every dispatching call back onto them.
+count.  The set-based implementations the kernel replaced are frozen
+under ``tests/legality_oracle.py``, where the parity and fuzz tests
+hold the kernel to them.
 """
-
-import os
 
 from ..errors import ConstraintError
 
-#: Environment switch: set to ``0`` to force the set-based reference
-#: implementations everywhere (A/B parity runs; results are identical).
-BITSET_ENV = "REPRO_BITSET"
-
-
-def bitset_enabled():
-    """True unless ``REPRO_BITSET`` disables the packed kernel."""
-    return os.environ.get(BITSET_ENV, "").strip().lower() not in (
-        "0", "false", "no", "off")
-
 
 def bitset_view(dfg):
-    """The cached :class:`BitsetDFG` of ``dfg``, or ``None`` when the
-    kernel is disabled.
+    """The cached :class:`BitsetDFG` of ``dfg``.
 
     Built lazily on first use and stashed on the DFG; graph mutations
     drop the cache (see :class:`~repro.graph.dfg.DFG`), and direct
     ``output_nodes`` edits are caught by a freshness check here.
     """
-    if not bitset_enabled():
-        return None
     view = getattr(dfg, "_bitset", None)
     if view is None or not view.fresh(dfg):
         view = BitsetDFG(dfg)
@@ -268,8 +252,10 @@ class BitsetDFG:
             reached = grown
 
     def check_candidate(self, members, constraints):
-        """Packed :func:`~repro.graph.analysis.check_candidate` —
-        identical check order and error messages."""
+        """Raise :class:`~repro.errors.ConstraintError` when the
+        candidate breaks a §4.2 rule: empty, memory operations,
+        ungroupable operations, ``IN``, ``OUT``, then convexity, in
+        that order."""
         if not members:
             raise ConstraintError("empty candidate")
         row, idxs = self._row_and_idxs(members)

@@ -214,13 +214,12 @@ def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
     same node sets, so enumeration is capped by ``max_mappings`` raw
     mappings / ``max_matches`` distinct member sets.
 
-    With the packed bitset kernel enabled, each mapping first meets the
-    cheap masked pre-filter (port counts against the precomputed value
-    tables); only survivors reach the convexity stage.  ``obs`` counts
-    the split: ``match.prefilter_rejected`` mappings died in the
-    pre-filter, ``match.legality_checked`` went the distance.
+    Each mapping first meets the packed kernel's cheap masked
+    pre-filter (port counts against the precomputed value tables); only
+    survivors reach the convexity stage.  ``obs`` counts the split:
+    ``match.prefilter_rejected`` mappings died in the pre-filter,
+    ``match.legality_checked`` went the distance.
     """
-    from .analysis import is_legal
     from .bitset import bitset_view
 
     host, uids = host if host is not None else match_host(dfg, exclude)
@@ -237,19 +236,13 @@ def find_matches(dfg, pattern, constraints=None, exclude=frozenset(),
                 continue
             seen.add(members)
             if constraints is not None:
-                if view is not None:
-                    verdict = view.classify_match(members, constraints)
-                    if obs:
-                        if verdict == "cheap":
-                            obs.count("match.prefilter_rejected")
-                        else:
-                            obs.count("match.legality_checked")
-                    if verdict != "legal":
-                        continue
-                else:
-                    if obs:
+                verdict = view.classify_match(members, constraints)
+                if obs:
+                    if verdict == "cheap":
+                        obs.count("match.prefilter_rejected")
+                    else:
                         obs.count("match.legality_checked")
-                    if not is_legal(dfg, members, constraints):
-                        continue
+                if verdict != "legal":
+                    continue
             matches.append(set(members))
     return matches

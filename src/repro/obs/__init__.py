@@ -1,8 +1,8 @@
 """Observability for the ACO engine: events, metrics, trace sinks.
 
 The engine reports everything through one :class:`Observer` — trace
-events (rounds, iterations, P_END trajectory, cache I/O), counters
-(Ready-Matrix rebuilds, grouping-memo and exploration-cache hits) and
+events (rounds, iterations, P_END trajectory), counters (Ready-Matrix
+rebuilds, grouping-memo and exploration-memo hits) and
 wall-clock timers — delivered to pluggable sinks.  The default is
 :data:`NULL_OBSERVER`, a falsy no-op, so uninstrumented runs pay one
 boolean check per hook site and produce bit-identical results.

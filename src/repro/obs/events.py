@@ -19,7 +19,6 @@ kind               emitted by
 ``block``          best-of-restarts reduction of one basic block
 ``round``          one ACO round finished (Fig. 4.3.1)
 ``iteration``      one ant iteration (TET + P_END trajectory)
-``cache``          :class:`repro.eval.persistence.ExplorationCache` I/O
 ``eval.cache_summary``  :meth:`repro.eval.runner.EvalContext.close`
 ``selftest``       one workload/opt-level check of ``repro selftest``
 ``metrics``        final registry snapshot (observer close)

@@ -129,9 +129,6 @@ class ProgressSink:
                         data.get("final_cycles"),
                         data.get("reduction", 0.0),
                         data.get("num_ises"), data.get("area", 0.0)))
-        if kind == "cache":
-            return "[obs] cache {}: {}".format(
-                data.get("op"), data.get("status", data.get("key")))
         return None
 
     def close(self):

@@ -39,8 +39,7 @@ def summarize_trace(records):
     flow header events, or ``None`` for pre-engine traces), ``kinds``
     (kind → count), ``blocks``
     (per-block base/final cycles), ``rounds`` / ``iterations`` totals,
-    ``p_end`` (first/last convergence floor seen), ``cache`` (hit /
-    miss / store counts), ``evaluate`` (last flow.evaluate payload),
+    ``p_end`` (first/last convergence floor seen), ``evaluate`` (last flow.evaluate payload),
     ``metrics`` (last registry snapshot, when the trace has one),
     ``pool`` (the ``pool.*`` counters/gauges of that snapshot — worker
     pool dispatches, steals, broadcast bytes, occupancy — or ``None``
@@ -52,7 +51,6 @@ def summarize_trace(records):
     rounds = 0
     iterations = 0
     first_floor = last_floor = None
-    cache = {"hit": 0, "miss": 0, "store": 0}
     evaluate = None
     metrics = None
     engine = None
@@ -80,12 +78,6 @@ def summarize_trace(records):
                 "final_cycles": record.get("final_cycles"),
                 "candidates": record.get("candidates"),
             })
-        elif kind == "cache":
-            status = record.get("status")
-            if record.get("op") == "store":
-                cache["store"] += 1
-            elif status in cache:
-                cache[status] += 1
         elif kind == "flow.evaluate":
             evaluate = record
         elif kind == "metrics":
@@ -113,7 +105,6 @@ def summarize_trace(records):
         "rounds": rounds,
         "iterations": iterations,
         "p_end": {"first": first_floor, "last": last_floor},
-        "cache": cache,
         "evaluate": evaluate,
         "metrics": metrics,
         "pool": pool,
@@ -144,11 +135,6 @@ def render_summary(summary):
             "P_END trajectory (min selected probability): "
             "{:.4f} first -> {:.4f} last".format(
                 p_end["first"], p_end["last"]))
-    cache = summary["cache"]
-    if any(cache.values()):
-        lines.append("exploration cache: {} hit(s), {} miss(es), "
-                     "{} store(s)".format(cache["hit"], cache["miss"],
-                                          cache["store"]))
     pool = summary.get("pool")
     if pool:
         lines.append(

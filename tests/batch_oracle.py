@@ -15,8 +15,8 @@ second implementation to maintain.
 
 import numpy as np
 
+from legality_oracle import input_values, output_values
 from repro.errors import ConfigError, ExplorationError
-from repro.graph.analysis import input_values, output_values
 from placement_oracle import IterationSchedule, SubgraphIOTracker
 from repro.sched.resources import Needs, _ISSUE, _READS, _WRITES
 

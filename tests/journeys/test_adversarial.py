@@ -27,7 +27,6 @@ from repro import api
 from repro.core.pool import (
     active_pool,
     add_dispatch_hook,
-    pool_persist_enabled,
     remove_dispatch_hook,
     shutdown_pools,
 )
@@ -113,8 +112,6 @@ def test_worker_sigkill_mid_request_structured_error(serve_server,
     # The CI container may expose a single CPU; widen the clamp so
     # jobs=2 genuinely fans out over a two-worker pool.
     monkeypatch.setattr(parallel, "_available_cpus", lambda: 4)
-    if not pool_persist_enabled():
-        pytest.skip("persistent pool disabled (REPRO_POOL_PERSIST=0)")
 
     client = make_client(timeout=120.0)
     # Warm-up creates the persistent pool (jobs=2 → two workers).
@@ -171,8 +168,6 @@ def test_forged_scope_rows_never_poison_other_scope(monkeypatch):
     # shared table; widen the CPU clamp so that happens even on a
     # single-CPU container.
     monkeypatch.setattr(parallel, "_available_cpus", lambda: 4)
-    if not pool_persist_enabled():
-        pytest.skip("persistent pool disabled (REPRO_POOL_PERSIST=0)")
 
     scope_b = b"2is|4/2|"          # issue=2, ports=4/2 (FAST's machine)
     scope_a = b"9is|9/9|"          # forged: no real machine hashes here

@@ -13,9 +13,9 @@ Keep this file frozen; it is an oracle, not a second implementation to
 maintain.
 """
 
+from legality_oracle import io_counts, is_convex_reference as is_convex
 from repro.core.grouping import VirtualGroup
 from repro.core.state import RoundMemo
-from repro.graph.analysis import io_counts, is_convex
 from repro.hwlib.asfu import subgraph_area, subgraph_delay_ns
 
 

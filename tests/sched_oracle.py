@@ -12,8 +12,9 @@ it is an oracle, not a second implementation to maintain.
 
 import networkx as nx
 
+from legality_oracle import input_values, output_values
+from legality_oracle import is_convex_reference as is_convex
 from repro.errors import SchedulingError
-from repro.graph.analysis import input_values, is_convex, output_values
 from repro.hwlib.asfu import subgraph_area, subgraph_delay_ns
 from repro.sched.resources import Needs, ReservationTable
 from repro.sched.units import SchedUnit, software_needs

@@ -19,7 +19,6 @@ import pytest
 
 import batch_oracle as oracle
 import placement_oracle
-from repro import api
 from repro.config import ExplorationParams, ISEConstraints
 from repro.core import iteration
 from repro.core.batch import BatchedAntRunner
@@ -34,7 +33,6 @@ from repro.engines.aco import AcoEngine, _schedule_key
 from repro.errors import ConfigError, SchedulingError
 from repro.graph import DFG
 from repro.graph.analysis import input_values, output_values
-from repro.graph.bitset import BITSET_ENV
 from repro.graph.fuzz import random_dfg
 from repro.hwlib import (
     DEFAULT_DATABASE,
@@ -47,7 +45,6 @@ from repro.ir.passes.pipeline import optimize
 from repro.isa.instruction import Operation
 from repro.sched import MachineConfig
 from repro.sched.resources import Needs, ReservationTable
-from repro.serve import schema
 from repro.workloads import get_workload
 
 MACHINES = (MachineConfig(2, "4/2"), MachineConfig(4, "8/4"),
@@ -172,27 +169,6 @@ class TestRunnerParity:
         dfg.output_nodes.add(uid)
         assert dfg.tables() is not tables
         assert dfg.tables().output_flags[dfg.tables().index[uid]]
-
-
-class TestKnobIndependence:
-    @pytest.mark.parametrize("workload", ["crc32", "blowfish"])
-    def test_bitset_switch_leaves_explore_unchanged(self, workload,
-                                                    monkeypatch):
-        """Construction reads the DFG's own value tables whatever
-        ``REPRO_BITSET`` says; the switch routes legality queries only,
-        and those give the same answers either way."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        digests = []
-        for value in (None, "0"):
-            if value is None:
-                monkeypatch.delenv(BITSET_ENV, raising=False)
-            else:
-                monkeypatch.setenv(BITSET_ENV, value)
-            result = api.explore(workload, profile="quick", iterations=10,
-                                 seed=4)
-            digests.append(schema.explore_digest(
-                schema.explore_payload(result)))
-        assert digests[0] == digests[1]
 
 
 # -- join-path geometry recounted over bit rows ---------------------------------

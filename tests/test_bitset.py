@@ -1,11 +1,12 @@
 """Unit tests for the packed-bitset legality kernel
 (:mod:`repro.graph.bitset`).
 
-Parity against the set-based reference implementations is covered in
-breadth by ``tests/test_bitset_fuzz.py``; here the contracts around
-the kernel itself are pinned: packing round-trips, the ``REPRO_BITSET``
-escape hatch, lazy-cache lifetime (mutation invalidation, output-set
-freshness, pickling), error-message parity of ``check_candidate``, the
+Parity against the frozen set-based reference
+(``tests/legality_oracle.py``) is covered in breadth by
+``tests/test_bitset_fuzz.py``; here the contracts around the kernel
+itself are pinned: packing round-trips, lazy-cache lifetime (mutation
+invalidation, output-set freshness, pickling), error-message parity of
+``check_candidate`` against the oracle, the
 two-stage :meth:`~repro.graph.bitset.BitsetDFG.classify_match` verdicts
 and the int-row APIs on known shapes.
 """
@@ -17,42 +18,41 @@ import pytest
 from repro.config import ISEConstraints
 from repro.errors import ConstraintError
 from repro.graph import analysis
-from repro.graph.bitset import BITSET_ENV, BitsetDFG, bitset_enabled, \
-    bitset_view
+from repro.graph.bitset import BitsetDFG, bitset_view
 from repro.graph.fuzz import random_dfg
 
+import legality_oracle as oracle
 from conftest import chain_dfg, diamond_dfg, dfg_from_block
 
 CONS = ISEConstraints()
 
 
-class TestEscapeHatch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(BITSET_ENV, raising=False)
-        assert bitset_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", " OFF "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(BITSET_ENV, value)
-        assert not bitset_enabled()
-        assert bitset_view(chain_dfg()) is None
-
-    @pytest.mark.parametrize("value", ["1", "true", "", "yes"])
-    def test_enabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(BITSET_ENV, value)
-        assert bitset_enabled()
-
-    def test_dispatchers_fall_back_to_reference(self, monkeypatch):
-        dfg = diamond_dfg()
-        members = set(dfg.nodes[:2])
-        enabled = (analysis.is_convex(dfg, members),
-                   analysis.io_counts(dfg, members),
-                   analysis.is_legal(dfg, members, CONS))
-        monkeypatch.setenv(BITSET_ENV, "0")
-        disabled = (analysis.is_convex(dfg, members),
-                    analysis.io_counts(dfg, members),
-                    analysis.is_legal(dfg, members, CONS))
-        assert enabled == disabled
+class TestDispatch:
+    def test_dispatchers_agree_with_the_oracle(self):
+        """The :mod:`repro.graph.analysis` entry points answer through
+        the kernel with the frozen reference's verdicts and messages."""
+        dfg = random_dfg(11, n_nodes=24)
+        tight = ISEConstraints(n_in=2, n_out=1)
+        pools = [set(dfg.nodes[k:k + 3]) for k in range(0, 21, 2)]
+        for members in pools + [{dfg.nodes[0], dfg.nodes[-1]}]:
+            assert analysis.is_convex(dfg, members) \
+                == oracle.is_convex_reference(dfg, members)
+            assert analysis.io_counts(dfg, members) \
+                == oracle.io_counts(dfg, members)
+            for cons in (CONS, tight):
+                assert analysis.is_legal(dfg, members, cons) \
+                    == oracle.is_legal_reference(dfg, members, cons)
+                try:
+                    oracle.check_candidate_reference(dfg, members, cons)
+                    expected = None
+                except ConstraintError as error:
+                    expected = str(error)
+                try:
+                    analysis.check_candidate(dfg, members, cons)
+                    got = None
+                except ConstraintError as error:
+                    got = str(error)
+                assert got == expected
 
 
 class TestPacking:
@@ -144,7 +144,7 @@ class TestScalarChecks:
                  {dfg.nodes[0], dfg.nodes[-1]}]
         for members in pools:
             try:
-                analysis.check_candidate_reference(dfg, members, CONS)
+                oracle.check_candidate_reference(dfg, members, CONS)
                 expected = None
             except ConstraintError as err:
                 expected = str(err)
@@ -169,8 +169,8 @@ class TestScalarChecks:
         for members in ({dfg.nodes[1]}, set(dfg.nodes[1:]),
                         set(dfg.nodes)):
             assert view.io_counts(members) == (
-                len(analysis.input_values(dfg, members)),
-                len(analysis.output_values(dfg, members)))
+                len(oracle.input_values(dfg, members)),
+                len(oracle.output_values(dfg, members)))
 
     def test_is_connected(self):
         dfg = diamond_dfg()
@@ -192,7 +192,7 @@ class TestScalarChecks:
         for uid in dfg.nodes:
             members = {uid}
             verdict = view.classify_match(members, CONS)
-            legal = analysis.is_legal_reference(dfg, members, CONS)
+            legal = oracle.is_legal_reference(dfg, members, CONS)
             assert (verdict == "legal") == legal
             seen.add(verdict)
         # A convexity-only kill ("illegal"): endpoints of a chain.
@@ -250,17 +250,6 @@ class TestMatchCounters:
         assert {frozenset(m) for m in matches} == {
             frozenset({0, 1}), frozenset({1, 2})}
 
-    def test_fallback_counts_everything_as_checked(self, monkeypatch):
-        from repro.graph import find_matches
-        monkeypatch.setenv(BITSET_ENV, "0")
-        dfg = self._dfg()
-        obs = _CountingObs()
-        tight = ISEConstraints(n_in=2, n_out=1)
-        matches = find_matches(dfg, self._pattern(dfg),
-                               constraints=tight, obs=obs)
-        assert obs.counters == {"match.legality_checked": 3}
-        assert {frozenset(m) for m in matches} == {frozenset({1, 2})}
-
 
 class TestBatchedRows:
     def test_legal_rows_matches_scalar(self):
@@ -272,7 +261,7 @@ class TestBatchedRows:
         legal = view.legal_rows(rows, CONS)
         for k, members in enumerate(pools):
             assert bool(legal[k]) == \
-                analysis.is_legal_reference(dfg, members, CONS)
+                oracle.is_legal_reference(dfg, members, CONS)
 
     def test_io_counts_rows_matches_scalar(self):
         dfg = random_dfg(31, n_nodes=40)
@@ -281,8 +270,8 @@ class TestBatchedRows:
         n_in, n_out = view.io_counts_rows(view.pack_rows(pools))
         for k, members in enumerate(pools):
             assert (int(n_in[k]), int(n_out[k])) == (
-                len(analysis.input_values(dfg, members)),
-                len(analysis.output_values(dfg, members)))
+                len(oracle.input_values(dfg, members)),
+                len(oracle.output_values(dfg, members)))
 
     def test_convex_rows_matches_scalar(self):
         dfg = random_dfg(37, n_nodes=40)
@@ -292,7 +281,7 @@ class TestBatchedRows:
         convex = view.convex_rows(view.pack_rows(pools))
         for k, members in enumerate(pools):
             assert bool(convex[k]) == \
-                analysis.is_convex_reference(dfg, members)
+                oracle.is_convex_reference(dfg, members)
 
     def test_empty_batch(self):
         view = bitset_view(chain_dfg())

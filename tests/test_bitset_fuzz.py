@@ -7,8 +7,9 @@ edges, memory-ordering edges, external inputs and deliberately
 connected/scattered candidate sets, and every §4.2 question is asked
 three ways:
 
-* the set-based reference (``*_reference`` / ``input_values`` /
-  ``output_values``) — the oracle,
+* the frozen set-based reference in ``tests/legality_oracle.py``
+  (``*_reference`` / ``input_values`` / ``output_values``) — the
+  oracle,
 * the scalar bitset fast path,
 * the batched row APIs (whole candidate pool as one matrix op).
 
@@ -25,9 +26,10 @@ import pytest
 
 from repro.config import ISEConstraints
 from repro.errors import ConstraintError
-from repro.graph import analysis
 from repro.graph.bitset import bitset_view
 from repro.graph.fuzz import random_dfg, random_members
+
+import legality_oracle as oracle
 
 #: (block seeds, candidates per block) — 24 blocks x 45 candidates =
 #: 1080 (block, candidate) pairs, each checked on all three paths.
@@ -65,21 +67,21 @@ def test_bitset_matches_reference(seed):
         where = "seed={} candidate={} members={}".format(
             seed, k, sorted(members))
         # Convexity: scalar and batched vs oracle.
-        expected = analysis.is_convex_reference(dfg, members)
+        expected = oracle.is_convex_reference(dfg, members)
         assert view.is_convex(members) == expected, where
         assert bool(conv_rows[k]) == expected, where
         # IN/OUT counts (the multi-producer stress lives here).
-        counts = (len(analysis.input_values(dfg, members)),
-                  len(analysis.output_values(dfg, members)))
+        counts = (len(oracle.input_values(dfg, members)),
+                  len(oracle.output_values(dfg, members)))
         assert view.io_counts(members) == counts, where
         assert (int(nin_rows[k]), int(nout_rows[k])) == counts, where
         # Legality + error-message parity under both port budgets.
         for cons in CONSTRAINT_GRID:
-            legal = analysis.is_legal_reference(dfg, members, cons)
+            legal = oracle.is_legal_reference(dfg, members, cons)
             assert view.is_legal(members, cons) == legal, where
             assert bool(legal_rows[cons][k]) == legal, where
             try:
-                analysis.check_candidate_reference(dfg, members, cons)
+                oracle.check_candidate_reference(dfg, members, cons)
                 message = None
             except ConstraintError as err:
                 message = str(err)

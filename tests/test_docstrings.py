@@ -151,8 +151,4 @@ def test_knob_ledger_matches_parameters_doc():
     assert not documented - read, \
         "in docs/PARAMETERS.md but read nowhere under src/: {}".format(
             sorted(documented - read))
-    assert read == {
-        "REPRO_JOBS", "REPRO_ANT_BATCH", "REPRO_EVAL_PROFILE",
-        "REPRO_POOL_PERSIST", "REPRO_POOL_SHARED_SLOTS",
-        "REPRO_EVALCACHE", "REPRO_BITSET", "REPRO_CACHE",
-        "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES"}
+    assert read == {"REPRO_JOBS", "REPRO_ANT_BATCH", "REPRO_EVAL_PROFILE"}

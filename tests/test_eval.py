@@ -1,6 +1,14 @@
 """Tests for the evaluation harness (metrics, runner, reporting)."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.config import ISEConstraints
 from repro.errors import ReproError
@@ -63,6 +71,34 @@ class TestRunner:
         flow2, explored2 = ctx.explored("dijkstra", machine, "O0", "MI")
         assert explored1 is explored2 and flow1 is flow2
 
+    def test_ant_batch_is_never_served_a_stale_bundle(self, tmp_path,
+                                                     monkeypatch):
+        """A context built under ``REPRO_ANT_BATCH=1`` explores at batch
+        1, even after a default-batch context explored the same cell in
+        the same working directory: its bundle equals the one a clean
+        process explores at batch 1."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_ANT_BATCH", raising=False)
+        default_batch = _crc32_signature()
+        monkeypatch.setenv("REPRO_ANT_BATCH", "1")
+        served = _crc32_signature()
+
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        path = [str(pathlib.Path(repro.__file__).parent.parent),
+                str(pathlib.Path(__file__).parent)]
+        env = dict(os.environ, REPRO_ANT_BATCH="1",
+                   PYTHONPATH=os.pathsep.join(path))
+        code = ("import json\n"
+                "from test_eval import _crc32_signature\n"
+                "print(json.dumps(_crc32_signature()))\n")
+        child = subprocess.run([sys.executable, "-c", code], cwd=clean,
+                               env=env, capture_output=True, text=True,
+                               timeout=300, check=True)
+        fresh = json.loads(child.stdout)
+        assert served == fresh
+        assert fresh != default_batch           # the knob matters here
+
     def test_reduction_cell(self):
         ctx = EvalContext(profile="quick", workload_names=["dijkstra"],
                           seed=3)
@@ -100,3 +136,17 @@ class TestReporting:
         text = render_table_5_1_1(DEFAULT_DATABASE)
         for token in ("mult", "sll sllv", "84428"):
             assert token in text
+
+
+def _crc32_signature():
+    """JSON-able digest of one quick crc32 exploration (4/2 2-issue,
+    O3, MI, seed 7) under the current environment."""
+    machine = machine_for_case("4/2", 2)
+    with EvalContext(profile="quick", seed=7,
+                     workload_names=["crc32"]) as ctx:
+        __, explored = ctx.explored("crc32", machine, "O3", "MI")
+    return [explored.baseline_cycles] + [
+        [sorted(c.members),
+         sorted([uid, c.option_of[uid].label] for uid in c.members),
+         c.cycles]
+        for c in explored.candidates]

@@ -5,11 +5,9 @@ import pickle
 from repro.core import evalcache
 from repro.core.candidate import ISECandidate
 from repro.core.evalcache import EvalCache, candidate_fingerprint, \
-    dfg_fingerprint, evalcache_enabled
-from repro.engines.aco import AcoEngine
+    dfg_fingerprint
 from repro.hwlib import DEFAULT_TECHNOLOGY
 from repro.hwlib.options import HardwareOption
-from repro.sched import MachineConfig
 
 from conftest import chain_dfg, diamond_dfg
 
@@ -87,22 +85,3 @@ class TestEvalCache:
         for index in range(5):
             cache.put(("k", index), index)
         assert len(cache) == 2
-
-
-class TestEnableSwitch:
-    def test_env_values(self, monkeypatch):
-        for value in ("0", "false", "NO", " off "):
-            monkeypatch.setenv(evalcache.EVALCACHE_ENV, value)
-            assert not evalcache_enabled()
-        for value in ("1", "true", "yes"):
-            monkeypatch.setenv(evalcache.EVALCACHE_ENV, value)
-            assert evalcache_enabled()
-        monkeypatch.delenv(evalcache.EVALCACHE_ENV, raising=False)
-        assert evalcache_enabled()
-
-    def test_explorer_honours_switch(self, monkeypatch):
-        machine = MachineConfig(2, "4/2")
-        monkeypatch.setenv(evalcache.EVALCACHE_ENV, "0")
-        assert AcoEngine(machine)._evalcache is None
-        monkeypatch.delenv(evalcache.EVALCACHE_ENV)
-        assert isinstance(AcoEngine(machine)._evalcache, EvalCache)

@@ -4,8 +4,8 @@ The array-backed state, incremental cluster geometry and the process
 pool are pure performance work: at any ``jobs`` setting the engine must
 return *bit-identical* results to a serial run — same candidates, same
 per-iteration TET traces, same reports.  These tests pin that contract,
-plus the edge cases of the roulette draw, merit normalisation, jobs
-resolution and the on-disk exploration cache.
+plus the edge cases of the roulette draw, merit normalisation and jobs
+resolution.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.state import ExplorationState
 from repro.engines.aco import AcoEngine
 from repro.errors import ConfigError, ReproError
-from repro.eval.persistence import ExplorationCache
 from repro.eval.runner import EvalContext
 from repro.hwlib import DEFAULT_DATABASE, default_io_table
 from repro.sched import MachineConfig
@@ -220,55 +219,3 @@ class TestEvalContextGuards:
     def test_unknown_profile_raises(self):
         with pytest.raises(ReproError):
             EvalContext(profile="warp")
-
-
-class TestExplorationCache:
-    def test_round_trip(self, tmp_path):
-        cache = ExplorationCache(directory=str(tmp_path), enabled=True)
-        key = cache.key(workload="crc32", machine="2x[4/2]", opt="O3")
-        assert cache.load(key) is None
-        cache.store(key, {"answer": 42})
-        assert cache.load(key) == {"answer": 42}
-
-    def test_key_depends_on_every_field(self):
-        cache = ExplorationCache(enabled=False)
-        base = cache.key(workload="crc32", seed=7)
-        assert cache.key(workload="crc32", seed=8) != base
-        assert cache.key(workload="sha1", seed=7) != base
-        assert cache.key(workload="crc32", seed=7) == base
-
-    def test_disabled_cache_is_inert(self, tmp_path):
-        cache = ExplorationCache(directory=str(tmp_path), enabled=False)
-        key = cache.key(workload="x")
-        cache.store(key, "payload")
-        assert cache.load(key) is None
-        assert list(tmp_path.iterdir()) == []
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ExplorationCache(directory=str(tmp_path), enabled=True)
-        key = cache.key(workload="x")
-        tmp_path.mkdir(exist_ok=True)
-        with open(cache.path_for(key), "wb") as handle:
-            handle.write(b"not a pickle")
-        assert cache.load(key) is None
-
-    def test_env_opt_out(self, monkeypatch):
-        from repro.eval import persistence
-        monkeypatch.setenv(persistence.CACHE_ENV, "0")
-        assert not ExplorationCache().enabled
-        monkeypatch.setenv(persistence.CACHE_ENV, "1")
-        assert ExplorationCache().enabled
-
-    def test_eval_context_uses_disk_cache(self, tmp_path, monkeypatch):
-        from repro.eval import persistence
-        monkeypatch.setenv(persistence.CACHE_ENV, "1")
-        monkeypatch.setenv(persistence.CACHE_DIR_ENV, str(tmp_path))
-        machine = MachineConfig(2, "4/2")
-        first = EvalContext(profile="quick", workload_names=["crc32"])
-        __, explored = first.explored("crc32", machine, "O3", "MI")
-        assert len(list(tmp_path.glob("*.pkl"))) == 1
-        second = EvalContext(profile="quick", workload_names=["crc32"])
-        __, reloaded = second.explored("crc32", machine, "O3", "MI")
-        assert reloaded.baseline_cycles == explored.baseline_cycles
-        assert ([sorted(c.members) for c in reloaded.candidates]
-                == [sorted(c.members) for c in explored.candidates])

@@ -19,7 +19,6 @@ import pytest
 from repro.config import ExplorationParams
 from repro.core.flow import ISEDesignFlow
 from repro.errors import ReproError
-from repro.eval.persistence import ExplorationCache
 from repro.eval.runner import EvalContext
 from repro.obs import (
     NULL_OBSERVER,
@@ -281,31 +280,10 @@ class TestEngineEvents:
 
 
 class TestCacheObservability:
-    def test_disk_cache_counts_hits_and_misses(self, tmp_path):
-        sink = MemorySink()
-        obs = Observer(sinks=[sink])
-        cache = ExplorationCache(directory=str(tmp_path), enabled=True,
-                                 obs=obs)
-        key = cache.key(workload="w", machine="m")
-        assert cache.load(key) is None
-        cache.store(key, {"payload": 1})
-        assert cache.load(key) == {"payload": 1}
-        assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["cache.disk_miss"] == 1
-        assert counters["cache.disk_hit"] == 1
-        assert counters["cache.disk_store"] == 1
-        ops = [(e.data["op"], e.data["status"])
-               for e in sink.of_kind("cache")]
-        assert ops == [("load", "miss"), ("store", "store"),
-                       ("load", "hit")]
-
     def test_eval_context_memory_counters_and_close(self, caplog):
         obs = Observer(sinks=[MemorySink()])
         ctx = EvalContext(profile="quick", seed=3,
-                          workload_names=["crc32"],
-                          disk_cache=ExplorationCache(enabled=False),
-                          obs=obs)
+                          workload_names=["crc32"], obs=obs)
         machine = MachineConfig(2, "4/2")
         ctx.params = QUICK
         ctx.max_blocks = 2
@@ -328,8 +306,7 @@ class TestCacheObservability:
 
     def test_eval_context_is_a_context_manager(self):
         with EvalContext(profile="quick", seed=3,
-                         workload_names=["crc32"],
-                         disk_cache=ExplorationCache(enabled=False)) as ctx:
+                         workload_names=["crc32"]) as ctx:
             assert ctx.cache_stats()["memory_misses"] == 0
         assert ctx._closed
 

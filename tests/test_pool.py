@@ -22,9 +22,7 @@ from repro.core.pool import (
     SharedEvalCache,
     WorkerPool,
     active_pool,
-    dispatch,
     get_pool,
-    pool_persist_enabled,
     shared_key_bytes,
     shutdown_pools,
 )
@@ -244,13 +242,6 @@ class TestWorkerPool:
         assert active_pool() is pool
         assert pool.worker_pids() == pids
         assert pool.stats["dispatches"] == 2
-
-    def test_persist_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.POOL_PERSIST_ENV, "0")
-        assert not pool_persist_enabled()
-        results = dispatch(_square, [(i,) for i in range(5)], 2)
-        assert results == [i * i for i in range(5)]
-        assert active_pool() is None                   # nothing retained
 
     def test_get_pool_grows_and_keeps_shared_cache(self):
         small = get_pool(2)

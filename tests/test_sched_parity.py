@@ -292,11 +292,11 @@ def _frozen_key(dfg, candidates, tables):
 
 
 class TestTrialScoring:
-    @pytest.mark.parametrize("cache", ["1", "0"])
-    def test_evaluate_matches_oracle(self, monkeypatch, cache):
+    def test_evaluate_matches_oracle(self):
+        """Every trial is scored twice: the first pass scores each
+        candidate list uncached, the second reads the memo."""
         from repro.engines.aco import AcoEngine
 
-        monkeypatch.setenv("REPRO_EVALCACHE", cache)
         rng = random.Random(17)
         checked = 0
         for seed in range(12):
@@ -348,11 +348,10 @@ class TestTrialScoring:
             assert (shared_key_bytes("scope", key) == shared_key_bytes(
                 "scope", _frozen_key(dfg, candidates, tables)))
 
-    def test_budget_charges_once_per_uncached_evaluation(self, monkeypatch):
+    def test_budget_charges_once_per_uncached_evaluation(self):
         from repro.engines.base import EvalBudget
         from repro.engines.aco import AcoEngine
 
-        monkeypatch.setenv("REPRO_EVALCACHE", "1")
         rng = random.Random(9)
         dfg = random_dfg(8, n_nodes=32)
         trials = _trials(dfg, rng, 5)
@@ -364,11 +363,10 @@ class TestTrialScoring:
             engine._evaluate(dfg, candidates, tables)
         assert budget.spent == engine.stat_evaluations == distinct
 
-    def test_memos_stay_out_of_pickles(self, monkeypatch):
+    def test_memos_stay_out_of_pickles(self):
         from repro.core.evalcache import dfg_fingerprint
         from repro.engines.aco import AcoEngine
 
-        monkeypatch.setenv("REPRO_EVALCACHE", "1")
         rng = random.Random(3)
         dfg = random_dfg(2, n_nodes=32)
         # The adjacency cache and the structural digest pickle with the

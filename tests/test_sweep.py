@@ -21,21 +21,11 @@ from repro.dist.sweep import (
     run_sweep,
 )
 from repro.errors import ReproError
-from repro.eval.persistence import CACHE_DIR_ENV, CACHE_ENV
 
 MACHINES = (("4/2", 2), ("6/3", 3))
 BUDGETS = (20_000.0, 320_000.0)
 TINY = dict(workloads=("crc32",), machines=MACHINES, budgets=BUDGETS,
             iterations=6, restarts=1)
-
-
-@pytest.fixture
-def shared_disk_cache(tmp_path_factory, monkeypatch):
-    """One disk cache for the module's repeated identical explorations."""
-    monkeypatch.setenv(CACHE_ENV, "1")
-    monkeypatch.setenv(
-        CACHE_DIR_ENV,
-        str(tmp_path_factory.getbasetemp() / "sweep_cache"))
 
 
 # -- grid -------------------------------------------------------------------
@@ -69,7 +59,7 @@ def test_run_sweep_refuses_a_non_integer_issue(issue, monkeypatch):
     assert cells == []                         # refused before any cell
 
 
-def test_run_sweep_runs_an_integer_issue(shared_disk_cache):
+def test_run_sweep_runs_an_integer_issue():
     result = api_sweep(["crc32"], machines=[("4/2", 2)], budgets=BUDGETS,
                        iterations=6, restarts=1)
     assert result.machines == (("4/2", 2),)
@@ -85,7 +75,6 @@ def test_pooled_sweep_equals_serial(monkeypatch, tmp_path):
 
     # Widen the CPU clamp so jobs=2 fans out even on a one-CPU host.
     monkeypatch.setattr(parallel, "_available_cpus", lambda: 4)
-    monkeypatch.setenv(CACHE_ENV, "0")
     serial = api_sweep(**TINY, jobs=1)
     assert len(serial.rows) == len(MACHINES) * len(BUDGETS)
     assert [(row.ports, row.budget) for row in serial.rows] == [
@@ -102,7 +91,7 @@ def test_pooled_sweep_equals_serial(monkeypatch, tmp_path):
     assert pooled.digest == serial.digest
 
 
-def test_sweep_payload_roundtrip(shared_disk_cache):
+def test_sweep_payload_roundtrip():
     result = api_sweep(**TINY)
     payload = json.loads(json.dumps(result.to_payload()))
     assert payload["_schema"] == PAYLOAD_SCHEMA == 2
@@ -175,7 +164,7 @@ def test_render_sweep_matrix():
     assert "Best cell" in text
 
 
-def test_sweep_trace_summary(shared_disk_cache, tmp_path):
+def test_sweep_trace_summary(tmp_path):
     from repro.obs import load_trace, render_summary, summarize_trace
 
     trace = str(tmp_path / "sweep.jsonl")
@@ -189,7 +178,7 @@ def test_sweep_trace_summary(shared_disk_cache, tmp_path):
         len(MACHINES), len(MACHINES) * len(BUDGETS)) in rendered
 
 
-def test_cli_sweep_out_roundtrip(shared_disk_cache, tmp_path, capsys):
+def test_cli_sweep_out_roundtrip(tmp_path, capsys):
     from repro.cli import main
     from repro.eval.persistence import load_json
 
