@@ -8,13 +8,13 @@ adds on top of the explorations it multiplexes:
   requests (framing + validation + lane hand-off, no exploration);
 * ``throughput`` — memo-answered requests/second at 1, 4 and 16
   concurrent clients hammering one scope;
-* ``batching``   — wall-clock for K fresh fingerprints fired in one
-  burst (the scope lane batches them into shared dispatches) versus
-  the same K run serially through one-shot :func:`repro.api.explore`.
+* ``burst``      — wall-clock for K fresh fingerprints sent at once
+  (the scope lane explores them one after another) versus the same K
+  run serially through one-shot :func:`repro.api.explore`.
 
 Digest parity between every served result and its one-shot reference
 is asserted unconditionally — a fast service that changes answers is
-not a service.  Wall-clock gates (batching no slower than 1.5× serial,
+not a service.  Wall-clock gates (the burst no slower than 1.5× serial,
 nonzero throughput scaling) are asserted only under
 ``REPRO_BENCH_STRICT=1``.
 """
@@ -41,7 +41,7 @@ EFFORT = dict(profile="quick", iterations=8, restarts=1)
 LATENCY_SAMPLES = 60
 CLIENT_COUNTS = (1, 4, 16)
 REQUESTS_PER_CLIENT = 6
-BATCH_SEEDS = tuple(range(300, 308))
+BURST_SEEDS = tuple(range(300, 308))
 
 
 def _percentile(samples, fraction):
@@ -87,34 +87,34 @@ def test_bench_serve(benchmark):
         phases = {}
         address = server.address
 
-        # Serial one-shot references for the batching phase (and the
+        # Serial one-shot references for the burst phase (and the
         # parity assertions) — timed as the amortization baseline.
         start = time.perf_counter()
         references = {
             seed: schema.explore_payload(
                 api.explore("crc32", seed=seed, **EFFORT))
-            for seed in BATCH_SEEDS
+            for seed in BURST_SEEDS
         }
         phases["serial_oneshot_s"] = time.perf_counter() - start
 
         # Burst the same fingerprints through one connection: send them
-        # all, then collect — queued requests batch on the scope lane.
+        # all, then collect — the scope lane explores them in turn.
         client = ServiceClient(address, timeout=120.0)
         try:
             start = time.perf_counter()
             rids = [client.send(dict(EFFORT, op="explore",
                                      workload="crc32", seed=seed))
-                    for seed in BATCH_SEEDS]
+                    for seed in BURST_SEEDS]
             served = [client.wait(rid) for rid in rids]
-            phases["batched_burst_s"] = time.perf_counter() - start
+            phases["burst_s"] = time.perf_counter() - start
 
             # Round-trip latency of memo-answered requests (the first
             # explore above warmed seed 501's slot via throughput runs
-            # below; use a batch seed already memoized by the burst).
+            # below; use a burst seed already memoized by the burst).
             samples = []
             for __ in range(LATENCY_SAMPLES):
                 start = time.perf_counter()
-                client.explore("crc32", seed=BATCH_SEEDS[0], **EFFORT)
+                client.explore("crc32", seed=BURST_SEEDS[0], **EFFORT)
                 samples.append(time.perf_counter() - start)
         finally:
             client.close()
@@ -137,13 +137,13 @@ def test_bench_serve(benchmark):
         server.stop()
 
     # Hard contract: every burst answer digests equal to its one-shot.
-    for seed, payload in zip(BATCH_SEEDS, served):
+    for seed, payload in zip(BURST_SEEDS, served):
         assert schema.explore_digest(payload) \
             == schema.explore_digest(references[seed]), \
             "served seed {} diverged from one-shot".format(seed)
 
-    amortization = phases["serial_oneshot_s"] / phases["batched_burst_s"] \
-        if phases["batched_burst_s"] > 0 else 0.0
+    amortization = phases["serial_oneshot_s"] / phases["burst_s"] \
+        if phases["burst_s"] > 0 else 0.0
     payload = {
         "effort": EFFORT,
         "latency_ms": {
@@ -157,10 +157,10 @@ def test_bench_serve(benchmark):
             for clients, rps in throughput.items()
         },
         "requests_per_client": REQUESTS_PER_CLIENT,
-        "batching": {
-            "fingerprints": len(BATCH_SEEDS),
+        "burst": {
+            "fingerprints": len(BURST_SEEDS),
             "serial_oneshot_s": round(phases["serial_oneshot_s"], 3),
-            "batched_burst_s": round(phases["batched_burst_s"], 3),
+            "burst_s": round(phases["burst_s"], 3),
             "amortization": round(amortization, 3),
         },
         "server_counters": counters,
@@ -173,10 +173,10 @@ def test_bench_serve(benchmark):
     print("serve bench: p50 {} ms, p95 {} ms, throughput {} rps @16, "
           "amortization {}x".format(
               payload["latency_ms"]["p50"], payload["latency_ms"]["p95"],
-              payload["throughput_rps"]["16"], payload["batching"]
+              payload["throughput_rps"]["16"], payload["burst"]
               ["amortization"]))
 
     if STRICT:
         assert amortization >= 1 / 1.5, \
-            "batched burst more than 1.5x slower than serial one-shots"
+            "burst more than 1.5x slower than serial one-shots"
         assert all(rps > 0 for rps in throughput.values())

@@ -25,7 +25,7 @@ Commands
     its reduction matrix (``--out`` writes the JSON payload).
 ``serve``
     Run the exploration service daemon: concurrent clients share one
-    process's warm pool, per-scope batching and exploration memo (see
+    process's warm pool, per-scope lanes and exploration memo (see
     docs/SERVICE.md; talk to it with ``repro.api.ServiceClient``).
 
 ``explore`` and ``selftest`` accept ``--trace PATH`` (stream a JSON-lines
@@ -37,8 +37,7 @@ import argparse
 import sys
 
 from . import api
-from .config import ExplorationParams, ISEConstraints
-from .core.flow import ISEDesignFlow
+from .config import ISEConstraints
 from .eval.reporting import render_table_5_1_1
 from .graph.export import dfg_to_dot
 from .hwlib import DEFAULT_DATABASE
@@ -50,8 +49,7 @@ from .obs import (
     render_summary,
     summarize_trace,
 )
-from .sched.machine import MachineConfig
-from .workloads import all_workloads, get_workload
+from .workloads import all_workloads
 
 
 def _add_machine_args(parser):
@@ -117,14 +115,13 @@ def _finish_observer(args, observer):
         print(observer.metrics.render())
 
 
-def _flow_from_args(args):
-    machine = MachineConfig(args.issue, args.ports)
-    params = ExplorationParams(max_iterations=args.iterations,
-                               restarts=args.restarts)
-    return ISEDesignFlow(machine, params=params, seed=args.seed,
-                         jobs=getattr(args, "jobs", None),
-                         batch=getattr(args, "batch", None),
-                         engine=getattr(args, "engine", "aco"))
+def _explore_from_args(args, observer=None):
+    """:func:`repro.api.explore` with the command's machine and effort."""
+    return api.explore(
+        args.workload, issue=args.issue, ports=args.ports, profile=None,
+        iterations=args.iterations, restarts=args.restarts, jobs=args.jobs,
+        batch=args.batch, seed=args.seed, opt=args.opt, observer=observer,
+        engine=args.engine)
 
 
 def _cmd_workloads(args):
@@ -150,12 +147,7 @@ def _cmd_engines(args):
 def _cmd_explore(args):
     observer = _observer_from_args(args)
     try:
-        result = api.explore(
-            args.workload, issue=args.issue, ports=args.ports,
-            profile=None, iterations=args.iterations,
-            restarts=args.restarts, jobs=args.jobs, batch=args.batch,
-            seed=args.seed, opt=args.opt, observer=observer,
-            engine=args.engine)
+        result = _explore_from_args(args, observer)
         selection = api.evaluate(result, max_area=args.area,
                                  max_ises=args.max_ises,
                                  observer=observer)
@@ -228,11 +220,8 @@ def _cmd_gantt(args):
     from .core.merging import is_single_asfu, merge_candidates
     from .graph.export import schedule_to_gantt
 
-    workload = get_workload(args.workload)
-    program, run_args = workload.build()
-    flow = _flow_from_args(args)
-    explored = flow.explore_application(program, args=run_args,
-                                        opt_level=args.opt)
+    result = _explore_from_args(args)
+    explored, flow = result.explored, result.flow
     hot = max((b for b in explored.blocks if b.explorable),
               key=lambda b: b.weight, default=None)
     if hot is None:
@@ -256,18 +245,14 @@ def _cmd_manual(args):
     """Print the custom-instruction datasheet for one workload."""
     from .core.manual import render_manual
 
-    workload = get_workload(args.workload)
-    program, run_args = workload.build()
-    flow = _flow_from_args(args)
-    explored = flow.explore_application(program, args=run_args,
-                                        opt_level=args.opt)
+    result = _explore_from_args(args)
     constraints = ISEConstraints(max_area=args.area,
                                  max_ises=args.max_ises)
-    report = flow.evaluate(explored, constraints)
+    report = result.flow.evaluate(result.explored, constraints)
     print(render_manual(
         report.selection,
         title="Custom instructions for {} on {}-issue RF {}".format(
-            workload.name, args.issue, args.ports)))
+            result.workload, args.issue, args.ports)))
     return 0
 
 
@@ -338,11 +323,7 @@ def _cmd_serve(args):
 
 
 def _cmd_dot(args):
-    workload = get_workload(args.workload)
-    program, run_args = workload.build()
-    flow = _flow_from_args(args)
-    explored = flow.explore_application(program, args=run_args,
-                                        opt_level=args.opt)
+    explored = _explore_from_args(args).explored
     hot = max((b for b in explored.blocks if b.explorable),
               key=lambda b: b.weight, default=None)
     if hot is None:

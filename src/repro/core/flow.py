@@ -351,7 +351,10 @@ class ISEDesignFlow:
 
         ``jobs`` > 1 (or ``REPRO_JOBS``) fans block explorations over a
         process pool; per-block RNG streams derive from the block's
-        identity, so the bundle is identical to the serial run.
+        identity, so the bundle is identical to the serial run.  The
+        profile phase's schedule lengths (``base_cycles``) ride along as
+        cost estimates, so the pool dispatches the longest blocks first
+        and short ones backfill behind them.
         """
         program, blocks, hot = self.profile_application(
             program, args=args, opt_level=opt_level)
@@ -359,13 +362,9 @@ class ISEDesignFlow:
         explorer = self._create_explorer()
         jobs = resolve_jobs(self.jobs if jobs is None else jobs, obs=obs)
         with obs.timer("flow.explore_blocks"):
-            results = self._explore_hot_blocks(explorer, hot, jobs)
-        return self.assemble_application(program, blocks, hot, results, jobs)
-
-    def assemble_application(self, program, blocks, hot, results, jobs):
-        """The :class:`ExploredApplication` of stage 1 plus the hot
-        blocks' exploration ``results`` (in ``hot`` order)."""
-        obs = self.obs
+            results = explorer.explore_many(
+                [b.dfg for b in hot], jobs=jobs,
+                costs=[b.base_cycles or 0 for b in hot])
         candidates = []
         explored_labels = []
         for instance, result in zip(hot, results):
@@ -381,18 +380,6 @@ class ISEDesignFlow:
         return ExploredApplication(program, self.machine, blocks, candidates,
                                    explored_labels, self.technology,
                                    self.constraints)
-
-    @staticmethod
-    def _explore_hot_blocks(explorer, hot, jobs):
-        """Explore the hot blocks, fanning out when ``jobs`` > 1.
-
-        The profile phase's schedule lengths (``base_cycles``) ride
-        along as cost estimates, so the pool dispatches the longest
-        blocks first and short ones backfill behind them.
-        """
-        costs = [instance.base_cycles or 0 for instance in hot]
-        return explorer.explore_many([b.dfg for b in hot], jobs=jobs,
-                                     costs=costs)
 
     def _select_hot_blocks(self, blocks):
         eligible = [b for b in blocks

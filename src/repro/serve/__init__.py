@@ -6,7 +6,8 @@ expensive exploration machinery:
 * :mod:`repro.serve.schema` — request validation, canonical request
   fingerprints and result payloads/digests;
 * :mod:`repro.serve.session` — per-machine-scope worker lanes that
-  batch compatible queued requests into single pool dispatches;
+  answer queued requests one at a time, from a memo or through
+  :func:`repro.api.explore`;
 * :mod:`repro.serve.server` — the TCP front end (framed JSON over the
   :mod:`repro.dist.protocol` length-prefix discipline) with per-client
   quotas, request timeouts, cancellation and event streaming;
@@ -14,8 +15,8 @@ expensive exploration machinery:
 
 Every served result is bit-identical to the one-shot
 :func:`repro.api.explore` / :func:`repro.api.evaluate` /
-:func:`repro.api.sweep` call with the same request — batching, memoing
-and multiplexing are throughput optimisations, never semantic ones.
+:func:`repro.api.sweep` call with the same request — memoing and
+multiplexing are throughput optimisations, never semantic ones.
 See docs/SERVICE.md for the wire format and operational notes.
 """
 

@@ -7,18 +7,10 @@ strict and structural — unknown ops, unknown keys and wrong types are
 semantic failures (an unknown workload or engine name) surface later
 from the exploration machinery itself.
 
-Two canonical keys drive the server's multiplexing:
-
-* :func:`explore_fingerprint` — every request parameter that
-  determines the exploration *outcome* (``jobs`` is excluded: results
-  are bit-identical at any worker count).  Identical fingerprints are
-  served from the scope lane's memo without re-exploring.
-* :func:`compat_key` — the parameters that determine the *engine
-  configuration* (machine, effort, seed, engine, batch).  Requests
-  sharing a compat key can have their hot blocks fanned out in one
-  ``explore_many`` dispatch: per-block RNG streams derive only from
-  ``(seed, restart, function, label)``, so the batched dispatch is
-  bit-identical to running the requests one-shot.
+:func:`explore_fingerprint` is every request parameter that
+determines the exploration *outcome* (``jobs`` is excluded: results
+are bit-identical at any worker count).  Identical fingerprints are
+served from the scope lane's memo without re-exploring.
 
 Result payloads are JSON-able dicts mirroring the frozen
 :class:`repro.api.ExploreResult` / :class:`repro.api.SelectionResult`
@@ -235,23 +227,10 @@ def validate_request(body):
 _FINGERPRINT_FIELDS = ("workload", "opt", "issue", "ports", "profile",
                       "seed", "iterations", "restarts", "engine", "batch")
 
-#: Fingerprint fields minus the per-request program identity: requests
-#: agreeing here share one engine configuration and may be batched into
-#: a single ``explore_many`` dispatch.  ``jobs`` is included so one
-#: dispatch has one unambiguous width.
-_COMPAT_FIELDS = ("issue", "ports", "profile", "seed", "iterations",
-                  "restarts", "engine", "batch", "jobs")
-
 
 def explore_fingerprint(req):
     """Canonical identity of one exploration request's *outcome*."""
     return json.dumps({name: req[name] for name in _FINGERPRINT_FIELDS},
-                      sort_keys=True)
-
-
-def compat_key(req):
-    """Canonical identity of one request's engine configuration."""
-    return json.dumps({name: req[name] for name in _COMPAT_FIELDS},
                       sort_keys=True)
 
 

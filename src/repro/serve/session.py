@@ -1,4 +1,4 @@
-"""Per-machine-scope worker lanes: batching, memoing, fan-out.
+"""Per-machine-scope worker lanes: one item at a time, memo first.
 
 The server (:mod:`repro.serve.server`) never explores on its event
 loop.  It first asks the :class:`ScopeLane` of the request's machine
@@ -9,27 +9,24 @@ loop with no lane round trip.  Every other request is wrapped in a
 string that qualifies shared evalcache keys
 (:func:`repro.core.evalcache.eval_scope`), so requests that can share
 evaluation work share a lane by construction.  One daemon thread per
-lane drains its queue in batches:
+lane answers its queue one item at a time, in FIFO order:
 
 1. **memo** — a request whose :func:`~repro.serve.schema.explore_fingerprint`
    was already explored on this lane answers from the lane's bounded
    LRU memo (the exploration is a pure function of the fingerprint).
    Each memo entry also keeps up to :data:`SELECTIONS_PER_ENTRY`
-   evaluate answers, keyed by budget, and drops them with the entry;
-2. **batch** — the remaining requests are grouped by
-   :func:`~repro.serve.schema.compat_key`; each group's hot blocks are
-   fanned out in **one** ``explore_many`` dispatch over the shared
-   worker pool, exactly as :meth:`ISEDesignFlow._explore_hot_blocks`
-   would for a single application.  Per-block RNG streams derive only
-   from ``(seed, restart, function, label)`` and the evalcache memoises
-   exactly what recomputation would produce, so the batched dispatch is
-   bit-identical to running each request one-shot;
-3. **fan-out** — results are sliced back per request and each item
-   answered through its thread-safe ``deliver``/``fail`` callbacks
-   (the server bridges these onto its event loop).
+   evaluate answers, keyed by budget, and drops them with the entry.
+   Duplicate in-flight fingerprints explore once: the first explores
+   and memoises, the rest hit the memo when their turn comes;
+2. **explore** — any other request is one :func:`repro.api.explore`
+   call, so a served answer is the one-shot answer by construction.
+   The item's listener, if any, sees that call's events and no other's;
+3. **answer** — each item is answered through its thread-safe
+   ``deliver``/``fail`` callbacks (the server bridges these onto its
+   event loop).
 
-Sweeps span machines, so they run unbatched on a dedicated ``sweep``
-lane, delegating to :func:`repro.api.sweep` wholesale.
+Sweeps span machines, so they run on a dedicated ``sweep`` lane,
+delegating to :func:`repro.api.sweep` wholesale.
 """
 
 import queue
@@ -37,14 +34,10 @@ import threading
 from collections import OrderedDict
 
 from ..config import ISEConstraints
-from ..core.flow import ISEDesignFlow
-from ..core.parallel import resolve_jobs
 # Stage 1 runs through the flow's shared front end; optimize stays
 # importable here for the layer tracer in perfbench/layers.py.
 from ..ir.passes.pipeline import optimize  # noqa: F401
 from ..obs import NULL_OBSERVER, CallbackSink, Observer
-from ..sched.machine import MachineConfig
-from ..workloads import get_workload
 from . import schema
 
 #: Default per-lane memo bound (explorations kept hot for re-fetch).
@@ -123,6 +116,13 @@ class WorkItem:
             self.events(record)
 
 
+def _observer(item):
+    """An observer streaming to ``item``'s listener, or None."""
+    if item.events is None:
+        return None
+    return Observer(sinks=[CallbackSink(item.emit)])
+
+
 class ScopeLane:
     """One scope's queue + daemon worker thread + exploration memo."""
 
@@ -197,134 +197,49 @@ class ScopeLane:
             item = self._queue.get()
             if item is _STOP:
                 return
-            batch = [item]
-            stopping = False
-            while True:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    stopping = True
-                    break
-                batch.append(extra)
-            batch = [i for i in batch if i.live()]
-            sweeps = [i for i in batch if i.request["op"] == "sweep"]
-            explores = [i for i in batch if i.request["op"] != "sweep"]
-            groups = OrderedDict()
-            for i in explores:
-                groups.setdefault(schema.compat_key(i.request), []).append(i)
-            for items in groups.values():
-                try:
-                    self._process_group(items)
-                except Exception as error:
-                    for i in items:
-                        i.fail(error)
-            for i in sweeps:
-                try:
-                    self._run_sweep(i)
-                except Exception as error:
-                    i.fail(error)
-            if stopping:
-                return
+            if not item.live():
+                continue
+            try:
+                if item.request["op"] == "sweep":
+                    self._run_sweep(item)
+                else:
+                    self._explore(item)
+            except Exception as error:
+                item.fail(error)
 
     # -- explore / evaluate ------------------------------------------------
 
-    def _process_group(self, items):
-        """Serve one compat group: memo first, batch the rest."""
-        fresh = OrderedDict()
-        for item in items:
-            fingerprint = schema.explore_fingerprint(item.request)
-            with self._memo_lock:
-                entry = self._memo.get(fingerprint)
-                if entry is not None:
-                    self._memo.move_to_end(fingerprint)
+    def _explore(self, item):
+        """Answer one explore or evaluate: from the memo, else explored
+        by :func:`repro.api.explore` and memoised."""
+        from ..api import explore
+
+        req = item.request
+        fingerprint = schema.explore_fingerprint(req)
+        with self._memo_lock:
+            entry = self._memo.get(fingerprint)
             if entry is not None:
-                self._bump("serve.memo_hits")
-                self._finish(item, entry)
-            else:
-                fresh.setdefault(fingerprint, []).append(item)
-        if not fresh:
+                self._memo.move_to_end(fingerprint)
+        if entry is not None:
+            self._bump("serve.memo_hits")
+            self._finish(item, entry)
             return
-        if len(fresh) > 1:
-            self._bump("serve.batched_dispatches")
-            self._bump("serve.batched_requests",
-                       sum(len(v) for v in fresh.values()))
-        self._explore_group(fresh)
-
-    def _explore_group(self, fresh):
-        """Explore every unique fingerprint in one pool dispatch.
-
-        Runs :meth:`ISEDesignFlow.explore_application` split at its
-        seams: each request's flow profiles through the shared front end
-        (:meth:`~ISEDesignFlow.profile_application`), the hot blocks of
-        *all* requests ride one ``_explore_hot_blocks`` fan-out, and each
-        flow assembles its own bundle from its slice of the results.
-        """
-        from ..api import ExploreResult, _resolve_params
-
-        targets = [i for waiters in fresh.values() for i in waiters
-                   if i.events is not None]
-        if targets:
-            def fan_out(record):
-                for listener in targets:
-                    listener.emit(record)
-            group_obs = Observer(sinks=[CallbackSink(fan_out)])
-        else:
-            group_obs = NULL_OBSERVER
-        prepared = []
-        for fingerprint, waiters in fresh.items():
-            req = waiters[0].request
-            params, max_blocks = _resolve_params(
-                req["profile"], req["iterations"], req["restarts"])
-            flow_kwargs = dict(params=params, seed=req["seed"],
-                               jobs=req["jobs"], batch=req["batch"],
-                               obs=group_obs, engine=req["engine"])
-            if max_blocks is not None:
-                flow_kwargs["max_blocks"] = max_blocks
-            flow = ISEDesignFlow(MachineConfig(req["issue"], req["ports"]),
-                                 **flow_kwargs)
-            bundle = get_workload(req["workload"])
-            program, args = bundle.build()
-            program, blocks, hot = flow.profile_application(
-                program, args=args, opt_level=req["opt"])
-            prepared.append((fingerprint, waiters, req, bundle, flow,
-                             program, blocks, hot))
-        flow0 = prepared[0][4]
-        explorer = flow0._create_explorer()
-        jobs = resolve_jobs(flow0.jobs, obs=group_obs)
-        all_hot = [b for entry in prepared for b in entry[7]]
-        results = ISEDesignFlow._explore_hot_blocks(explorer, all_hot, jobs)
-        position = 0
-        try:
-            for (fingerprint, waiters, req, bundle, flow, program, blocks,
-                 hot) in prepared:
-                explored = flow.assemble_application(
-                    program, blocks, hot,
-                    results[position:position + len(hot)], jobs)
-                position += len(hot)
-                api_result = ExploreResult(
-                    workload=bundle.name, opt=req["opt"],
-                    issue=req["issue"], ports=req["ports"],
-                    profile=req["profile"], seed=req["seed"],
-                    baseline_cycles=explored.baseline_cycles,
-                    candidates=tuple(c.describe()
-                                     for c in explored.candidates),
-                    engine=req["engine"], explored=explored, flow=flow)
-                payload = schema.explore_payload(api_result)
-                payload["digest"] = schema.explore_digest(payload)
-                entry = _MemoEntry(payload, explored, flow)
-                with self._memo_lock:
-                    self._memo[fingerprint] = entry
-                    while len(self._memo) > self.memo_entries:
-                        self._memo.popitem(last=False)
-                for item in waiters:
-                    self._finish(item, entry)
-        finally:
-            # Drop the group observer so memoised flows never hold a
-            # reference chain back to completed sessions.
-            for entry in prepared:
-                entry[4].obs = NULL_OBSERVER
+        result = explore(
+            req["workload"], issue=req["issue"], ports=req["ports"],
+            profile=req["profile"], jobs=req["jobs"], batch=req["batch"],
+            seed=req["seed"], opt=req["opt"], iterations=req["iterations"],
+            restarts=req["restarts"], observer=_observer(item),
+            engine=req["engine"])
+        # Memoised flows must not hold the subscriber's observer.
+        result.flow.obs = NULL_OBSERVER
+        payload = schema.explore_payload(result)
+        payload["digest"] = schema.explore_digest(payload)
+        entry = _MemoEntry(payload, result.explored, result.flow)
+        with self._memo_lock:
+            self._memo[fingerprint] = entry
+            while len(self._memo) > self.memo_entries:
+                self._memo.popitem(last=False)
+        self._finish(item, entry)
 
     def _finish(self, item, entry):
         """Answer one item from a memo entry, storing a new selection."""
@@ -375,16 +290,13 @@ class ScopeLane:
         from ..api import sweep
 
         req = item.request
-        observer = None
-        if item.events is not None:
-            observer = Observer(sinks=[CallbackSink(item.emit)])
         result = sweep(
             req["workloads"], machines=req["machines"],
             budgets=req["budgets"], opt=req["opt"],
             profile=req["profile"], seed=req["seed"],
             engine=req["engine"], jobs=req["jobs"], batch=req["batch"],
             iterations=req["iterations"], restarts=req["restarts"],
-            observer=observer)
+            observer=_observer(item))
         item.deliver(result.to_payload())
 
 

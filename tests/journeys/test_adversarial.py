@@ -5,7 +5,7 @@ These are the "prove it" counterparts to the happy-path journeys:
 
 * N concurrent clients hammering one scope must all receive
   bit-identical results (digest equality against serial one-shot
-  references) — multiplexing and batching may change *when* work runs,
+  references) — multiplexing and memoing may change *when* work runs,
   never *what* it computes.
 * A pool worker SIGKILLed while a request is in flight must surface a
   structured error on that request (never a hang), and the very next
@@ -24,6 +24,7 @@ import pytest
 from journeys.conftest import FAST
 
 from repro import api
+from repro.core.flow import ISEDesignFlow
 from repro.core.pool import (
     active_pool,
     add_dispatch_hook,
@@ -54,7 +55,7 @@ def test_concurrent_clients_get_bit_identical_results(serve_server,
     requests = [
         ("crc32", 21),
         ("crc32", 21),        # duplicate fingerprint of client 0
-        ("bitcount", 21),     # same compat key, batchable with crc32
+        ("bitcount", 21),     # same scope and lane as crc32
         ("crc32", 22),        # distinct fingerprint, same scope
     ]
     results = [None] * len(requests)
@@ -85,15 +86,25 @@ def test_concurrent_clients_get_bit_identical_results(serve_server,
 
 
 def test_concurrent_duplicate_storm_single_exploration(serve_server,
-                                                       make_client):
-    """Eight same-fingerprint requests in one burst produce one
-    exploration's worth of distinct payloads (all equal), not eight
-    divergent ones."""
+                                                       make_client,
+                                                       monkeypatch):
+    """Eight same-fingerprint requests in one burst explore once: the
+    first explores, the other seven are served from the memo, and all
+    eight payloads are equal."""
+    explores = []
+    explore_application = ISEDesignFlow.explore_application
+
+    def counted(self, *args, **kwargs):
+        explores.append(1)
+        return explore_application(self, *args, **kwargs)
+
+    monkeypatch.setattr(ISEDesignFlow, "explore_application", counted)
     clients = [make_client() for _ in range(4)]
     rids = [(client, client.send(dict(FAST, op="explore",
                                       workload="crc32", seed=27)))
             for client in clients for _ in range(2)]
     payloads = [client.wait(rid) for client, rid in rids]
+    assert len(explores) == 1
     assert all(payload == payloads[0] for payload in payloads)
     assert _digest(payloads[0]) \
         == _reference_digest("crc32", seed=27, **FAST)

@@ -13,10 +13,10 @@ Keep this file frozen; it is an oracle, not a second implementation to
 maintain.
 """
 
+from asfu_oracle import subgraph_area, subgraph_delay_ns
 from legality_oracle import io_counts, is_convex_reference as is_convex
 from repro.core.grouping import VirtualGroup
 from repro.core.state import RoundMemo
-from repro.hwlib.asfu import subgraph_area, subgraph_delay_ns
 
 
 class ScheduleAnalysis:

@@ -12,10 +12,10 @@ it is an oracle, not a second implementation to maintain.
 
 import networkx as nx
 
+from asfu_oracle import subgraph_area, subgraph_delay_ns
 from legality_oracle import input_values, output_values
 from legality_oracle import is_convex_reference as is_convex
 from repro.errors import SchedulingError
-from repro.hwlib.asfu import subgraph_area, subgraph_delay_ns
 from repro.sched.resources import Needs, ReservationTable
 from repro.sched.units import SchedUnit, software_needs
 

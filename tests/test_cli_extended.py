@@ -36,17 +36,12 @@ class TestGanttCommand:
                                                       capsys):
         """Merge condition (2): with two ASFUs the gantt view must show
         the unmerged ISEs that ``evaluate`` would build."""
-        from repro import cli
+        from repro import api
         from repro.core import merging
-        from repro.core.flow import ISEDesignFlow
         from repro.sched import MachineConfig
 
-        def two_asfu_flow(args):
-            flow = make_flow(args)
-            return ISEDesignFlow(
-                MachineConfig(args.issue, args.ports,
-                              fu_counts={"asfu": 2}),
-                params=flow.params, seed=flow.seed)
+        def two_asfu_machine(issue, ports):
+            return MachineConfig(issue, ports, fu_counts={"asfu": 2})
 
         calls = []
 
@@ -55,8 +50,8 @@ class TestGanttCommand:
             calls.append((list(candidates), merged))
             return merged
 
-        make_flow, merge = cli._flow_from_args, merging.merge_candidates
-        monkeypatch.setattr(cli, "_flow_from_args", two_asfu_flow)
+        merge = merging.merge_candidates
+        monkeypatch.setattr(api, "MachineConfig", two_asfu_machine)
         monkeypatch.setattr(merging, "merge_candidates", recording_merge)
         code = main(["gantt", "adpcm", "--iterations", "30",
                      "--restarts", "1", "--seed", "2"])

@@ -113,21 +113,23 @@ def test_validate_sweep_machine_issue_is_a_positive_int(issue):
             {"op": "explore", "workload": "crc32", "issue": issue})
 
 
-def test_fingerprint_ignores_jobs_but_compat_key_does_not():
+def test_fingerprint_ignores_jobs():
     a = schema.validate_request(
         {"op": "explore", "workload": "crc32", "jobs": None})
     b = schema.validate_request(
         {"op": "explore", "workload": "crc32", "jobs": 2})
     assert schema.explore_fingerprint(a) == schema.explore_fingerprint(b)
-    assert schema.compat_key(a) != schema.compat_key(b)
 
 
-def test_compat_key_ignores_workload_and_opt():
-    a = schema.validate_request({"op": "explore", "workload": "crc32"})
-    b = schema.validate_request(
-        {"op": "explore", "workload": "bitcount", "opt": "O0"})
-    assert schema.explore_fingerprint(a) != schema.explore_fingerprint(b)
-    assert schema.compat_key(a) == schema.compat_key(b)
+def test_fingerprint_tracks_workload_and_opt():
+    base = schema.validate_request({"op": "explore", "workload": "crc32"})
+    workload = schema.validate_request(
+        {"op": "explore", "workload": "bitcount"})
+    opt = schema.validate_request(
+        {"op": "explore", "workload": "crc32", "opt": "O0"})
+    fingerprint = schema.explore_fingerprint(base)
+    assert schema.explore_fingerprint(workload) != fingerprint
+    assert schema.explore_fingerprint(opt) != fingerprint
 
 
 def test_request_scope_is_the_machine_scope():
@@ -389,6 +391,34 @@ def test_memo_hits_count_once_on_either_path(server, client, monkeypatch):
     assert answers[0] == client.request(explore)
     assert answers[1] == client.request(evaluate)
     assert hits() == 7
+
+
+def test_lane_events_reach_only_their_own_request():
+    """Two subscribed fresh explores of different programs queued on one
+    lane together: each stream names only its own program."""
+    lane = ScopeLane("events-scope")
+    streams = {"crc32": [], "bitcount": []}
+    done = threading.Semaphore(0)
+    for workload, stream in streams.items():
+        req = schema.validate_request(dict(
+            op="explore", workload=workload, profile="quick", seed=31,
+            iterations=6, restarts=1))
+        lane._queue.put(WorkItem(req, lambda payload: done.release(),
+                                 lambda error: done.release(),
+                                 events=stream.append))
+    # An abandoned item starts the lane thread with both already queued.
+    idle = WorkItem(None, None, None)
+    idle.abandon()
+    lane.submit(idle)
+    try:
+        for __ in streams:
+            assert done.acquire(timeout=120.0)
+    finally:
+        lane.stop()
+    for workload, stream in streams.items():
+        programs = [record["program"] for record in stream
+                    if record["kind"] in ("flow.profile", "flow.explored")]
+        assert len(programs) == 2 and set(programs) == {workload}
 
 
 def test_concurrent_loop_hits_race_memo_eviction(monkeypatch):
