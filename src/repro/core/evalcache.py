@@ -26,44 +26,18 @@ Because the memoised value is exactly what the evaluation would have
 recomputed, a hit returns the cycle count the engine would have
 computed for that exact call.  One cache is shared across all rounds and
 restarts of a block (and across blocks — the DFG digest keys them
-apart).  Under ``jobs>1`` the cache pickles as a read-only warm
+apart).  It is the only evaluation memo: it lives and dies with its
+engine.  Under ``jobs>1`` the cache pickles as a read-only warm
 snapshot: workers start from whatever the parent had accumulated and
-count their own hits/misses (replayed into the parent's metrics).
-
-Inside a pool worker there is additionally a **shared tier**
-(:class:`repro.core.pool.SharedEvalCache`): a local miss falls back to
-the read-mostly shared-memory table — where a cycle count memoised by
-*any* worker of *any* earlier dispatch may already sit — and every
-locally computed value is appended to a per-worker write log that the
-parent folds into the table between dispatches.  Shared-tier hits are
-tallied separately (``shared_hits``) and promoted into the local dict.
-The shared tier spans explorers with *different* machines and
-technologies (the evaluation grid, the single-issue baseline), so its
-keys are additionally scoped by the ``scope`` string the owning
-explorer passes in — without it a 2-issue cycle count could answer a
-4-issue probe and silently break bit-parity.
+count their own hits/misses (replayed into the parent's metrics); what
+a worker adds stays in that worker's copy.
 """
 
 import hashlib
 
-from .pool import shared_key_bytes, worker_cache_note, worker_shared_cache
-
 #: Entry cap — a backstop against pathological candidate churn, far
 #: above what any real block produces.
 MAX_ENTRIES = 1 << 17
-
-def eval_scope(machine, technology):
-    """The canonical scope string of one (machine, technology) pair.
-
-    Every shared-memory table key and every serve session lane is
-    qualified by this exact string, so "same scope" means the same
-    thing across both: a 2-issue cycle count can never answer a
-    4-issue probe, and the exploration service batches only requests
-    whose evaluations are interchangeable.
-    """
-    return "{}is|{}|{}|{!r}".format(
-        machine.issue_width, machine.register_file.spec,
-        sorted(machine.fu_counts.items()), technology)
 
 
 def dfg_fingerprint(dfg):
@@ -99,19 +73,16 @@ def candidate_fingerprint(members, option_of):
 class EvalCache:
     """Memo of ``fingerprint -> block cycles`` with hit/miss tallies.
 
-    ``scope`` qualifies this cache's keys in the cross-worker shared
-    tier (machine + technology identity); it is irrelevant to the local
-    dict, which never outlives its explorer.
+    One instance serves one engine, hence one (machine, technology)
+    pair, so the keys need no machine identity.
     """
 
-    __slots__ = ("_entries", "hits", "misses", "shared_hits", "scope")
+    __slots__ = ("_entries", "hits", "misses")
 
-    def __init__(self, scope=""):
+    def __init__(self):
         self._entries = {}
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        self.scope = scope
 
     def __len__(self):
         return len(self._entries)
@@ -123,39 +94,18 @@ class EvalCache:
                 software_cycles)
 
     def get(self, key):
-        """Memoised cycles for ``key`` (None on miss).
-
-        Tier order is nearest-first: the local dict, then the attached
-        shared-memory table (pool workers only).  A shared hit is
-        promoted into the local dict, so repeat probes stay a dict
-        lookup.
-        """
+        """Memoised cycles for ``key`` (None on miss)."""
         value = self._entries.get(key)
-        if value is not None:
+        if value is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return value
-        shared = worker_shared_cache()
-        if shared is not None:
-            cycles = shared.lookup(shared_key_bytes(self.scope, key))
-            if cycles is not None:
-                self.hits += 1
-                self.shared_hits += 1
-                if len(self._entries) < MAX_ENTRIES:
-                    self._entries[key] = cycles
-                return cycles
-        self.misses += 1
-        return None
+        return value
 
     def put(self, key, cycles):
-        """Record an evaluation outcome in every reachable tier.
-
-        The local dict stores it directly; the shared tier receives it
-        through the per-worker insert log the pool parent folds between
-        dispatches.
-        """
+        """Record an evaluation outcome (until the entry cap is hit)."""
         if len(self._entries) < MAX_ENTRIES:
             self._entries[key] = cycles
-        worker_cache_note(self.scope, key, cycles)
 
     def stats(self):
         """``(hits, misses, entries)`` snapshot."""
@@ -164,16 +114,14 @@ class EvalCache:
     # -- pickling: warm read-only snapshot for pool workers ----------------
 
     def __getstate__(self):
-        return {"entries": dict(self._entries), "scope": self.scope}
+        return {"entries": dict(self._entries)}
 
     def __setstate__(self, state):
         self._entries = state["entries"]
-        self.scope = state.get("scope", "")
         # Worker-side tallies restart at zero so the deltas each task
         # replays into the parent metrics are intrinsic to that task.
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
 
     def __repr__(self):
         return "EvalCache({} entries, {} hits / {} misses)".format(

@@ -160,7 +160,6 @@ class AcoEngine(ExplorerEngine):
         if obs:
             cache = self._evalcache
             before = cache.stats()
-            before_shared = cache.shared_hits
             skeleton = block_skeleton(dfg)
             prefix_hits = skeleton.prefix_hits
             prefix_misses = skeleton.prefix_misses
@@ -174,8 +173,6 @@ class AcoEngine(ExplorerEngine):
             hits, misses, entries = cache.stats()
             obs.count("evalcache.hits", hits - before[0])
             obs.count("evalcache.misses", misses - before[1])
-            obs.count("evalcache.shared_hits",
-                      cache.shared_hits - before_shared)
             obs.gauge("evalcache.entries", entries)
             return result
         return self._explore_once(dfg, rng, io_tables, restart=restart)

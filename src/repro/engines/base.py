@@ -41,7 +41,7 @@ from ..hwlib.technology import DEFAULT_TECHNOLOGY
 from ..obs import ensure_observer
 from ..sched.list_scheduler import list_schedule
 from ..sched.units import block_skeleton, contract_dfg
-from ..core.evalcache import EvalCache, eval_scope
+from ..core.evalcache import EvalCache
 from ..core.parallel import parallel_map, resolve_jobs
 
 
@@ -234,15 +234,10 @@ class ExplorerEngine:
         #: Uncached ``_evaluate`` computations this instance performed.
         self.stat_evaluations = 0
         #: Memo of deterministic candidate evaluations, shared across
-        #: rounds, restarts and blocks.
-        #: Pool workers receive it inside the pickled engine as a
-        #: warm read-only snapshot and additionally probe the pool's
-        #: cross-worker shared tier, whose keys are scoped by the
-        #: machine/technology identity below — ``_evaluate`` depends on
-        #: both, and the shared tier outlives this engine (see
+        #: rounds, restarts and blocks.  Pool workers receive it inside
+        #: the pickled engine as a warm read-only snapshot (see
         #: :mod:`repro.core.evalcache`).
-        scope = eval_scope(self.machine, self.technology)
-        self._evalcache = EvalCache(scope)
+        self._evalcache = EvalCache()
 
     # -- the protocol ------------------------------------------------------
 

@@ -33,7 +33,6 @@ import networkx as nx
 from ..errors import BudgetExhausted
 from .greedy import _chain, _fringe
 from ..graph.analysis import io_counts, is_convex
-from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
 from ..core.make_convex import legalize_components
 from .base import ExplorationResult, ExplorerEngine
@@ -152,7 +151,6 @@ class IsegenEngine(ExplorerEngine):
                             if uid in eligible_set and uid not in locked]
                 if not frontier:
                     break
-                self._score_frontier(dfg, working, frontier, quality)
                 move, move_quality = None, None
                 for uid in frontier:
                     trial = working ^ {uid}
@@ -175,54 +173,6 @@ class IsegenEngine(ExplorerEngine):
             best_quality = pass_best
             best_set = set(working)
         return best_set, moves_used
-
-    def _score_frontier(self, dfg, working, frontier, memo):
-        """Pre-fill the quality memo for a whole toggle frontier.
-
-        Every trial's per-component port counts and convexity verdicts
-        run as ONE batched bitset call instead of a set walk per probe;
-        scores are then assembled with exactly :meth:`_quality`'s
-        arithmetic (same component order, same float summation), so the
-        memo contents are bit-identical to what the per-trial loop would
-        compute.
-        """
-        pending = []          # (memo key, [(component, is_big)] in order)
-        big = []              # every >=2-node component, across trials
-        for uid in frontier:
-            key = frozenset(working ^ {uid})
-            if not key or key in memo:
-                continue
-            sub = dfg.graph.subgraph(key)
-            comps = [set(c) for c in nx.weakly_connected_components(sub)]
-            pending.append((key, comps))
-            big.extend(c for c in comps if len(c) >= 2)
-        if not big:
-            for key, comps in pending:
-                score = 0.0
-                for __ in comps:
-                    score -= 0.05
-                memo[key] = score
-            return
-        view = bitset_view(dfg)
-        rows = view.pack_rows(big)
-        n_in, n_out = view.io_counts_rows(rows)
-        convex = view.convex_rows(rows)
-        k = 0
-        for key, comps in pending:
-            score = 0.0
-            for component in comps:
-                if len(component) < 2:
-                    score -= 0.05
-                    continue
-                gain = _chain(dfg, component) - 1.0
-                excess = max(0, int(n_in[k]) - self.constraints.n_in)
-                excess += max(0, int(n_out[k]) - self.constraints.n_out)
-                penalty = 0.75 * excess
-                if not convex[k]:
-                    penalty += 1.0
-                k += 1
-                score += gain - penalty
-            memo[key] = score
 
     def _quality(self, dfg, members, memo):
         """Cheap structural worth of a cut (memoised per round).

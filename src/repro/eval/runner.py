@@ -132,9 +132,9 @@ class EvalContext:
     def close(self):
         """Log a cache summary and release the worker pool (idempotent).
 
-        Tearing down the persistent :mod:`repro.core.pool` here unlinks
-        its shared-memory segments (broadcast + shared evalcache) — the
-        ``atexit`` hook only backstops contexts that are never closed.
+        Tearing down the persistent :mod:`repro.core.pool` here stops
+        its workers — the ``atexit`` hook only backstops contexts that
+        are never closed.
 
         Idempotent *and* thread-safe: a server's lifecycle teardown can
         race a request handler's ``with EvalContext(...)`` exit, so the

@@ -25,10 +25,8 @@ A :class:`BitsetDFG` is a derived, read-only view of one (frozen)
 * memory / ungroupable / output masks answer the remaining §4.2 rules
   with one AND each.
 
-The row APIs (:meth:`BitsetDFG.legal_rows`,
-:meth:`~BitsetDFG.io_counts_rows`, :meth:`~BitsetDFG.convex_rows`) run
-the same scalar checks over a list of int rows from
-:meth:`~BitsetDFG.pack_rows`.
+The row API (:meth:`BitsetDFG.legal_rows`) runs the same scalar checks
+over a list of int rows from :meth:`~BitsetDFG.pack_rows`.
 
 The closure rows are ``O(n²/64)`` words per block, built lazily on the
 first legality query and cached on the DFG (dropped on any mutation
@@ -319,21 +317,6 @@ class BitsetDFG:
         return "legal" if self._convex_row(row, idxs) else "illegal"
 
     # -- int rows ------------------------------------------------------------
-
-    def convex_rows(self, rows):
-        """Convexity of every int bit row, as a list of bools."""
-        return [self._convex_row(row, _indices(row)) for row in rows]
-
-    def io_counts_rows(self, rows):
-        """``(in_counts, out_counts)`` lists for a batch of int rows."""
-        tables = self.tables
-        n_in = []
-        n_out = []
-        for row in rows:
-            idxs = _indices(row)
-            n_in.append(tables.in_count(row, idxs))
-            n_out.append(tables.out_count(row, idxs))
-        return n_in, n_out
 
     def legal_rows(self, rows, constraints):
         """§4.2 legality of every int bit row, as a list of bools —

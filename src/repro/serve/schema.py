@@ -234,19 +234,25 @@ def explore_fingerprint(req):
                       sort_keys=True)
 
 
+def eval_scope(machine, technology):
+    """The canonical scope string of one (machine, technology) pair."""
+    return "{}is|{}|{}|{!r}".format(
+        machine.issue_width, machine.register_file.spec,
+        sorted(machine.fu_counts.items()), technology)
+
+
 def request_scope(req):
-    """The serve lane key: the machine's shared-evalcache scope string.
+    """The serve lane key: the request machine's scope string.
 
     Explore/evaluate requests land on the lane of their machine scope
-    (the same string that qualifies shared evalcache keys, so
-    "same lane" and "same cache scope" are one concept); sweeps span
+    (:func:`eval_scope` of the machine and the default technology), so
+    each lane's memo holds one machine's explorations; sweeps span
     machines and run on a dedicated ``sweep`` lane.
     """
     if req["op"] == "sweep":
         return "sweep"
     from ..hwlib.technology import DEFAULT_TECHNOLOGY
     from ..sched.machine import MachineConfig
-    from ..core.evalcache import eval_scope
 
     machine = MachineConfig(req["issue"], req["ports"])
     return eval_scope(machine, DEFAULT_TECHNOLOGY)

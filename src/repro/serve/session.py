@@ -5,10 +5,9 @@ loop.  It first asks the :class:`ScopeLane` of the request's machine
 scope for a memoised answer (:meth:`ScopeLane.answer`): a repeat
 explore, or a repeated evaluate at the same budget, is answered on the
 loop with no lane round trip.  Every other request is wrapped in a
-:class:`WorkItem` and queued onto the lane.  The scope is the same
-string that qualifies shared evalcache keys
-(:func:`repro.core.evalcache.eval_scope`), so requests that can share
-evaluation work share a lane by construction.  One daemon thread per
+:class:`WorkItem` and queued onto the lane.  The scope is the
+machine's scope string (:func:`repro.serve.schema.eval_scope`), so each
+lane's memo holds one machine's explorations.  One daemon thread per
 lane answers its queue one item at a time, in FIFO order:
 
 1. **memo** — a request whose :func:`~repro.serve.schema.explore_fingerprint`
@@ -19,8 +18,10 @@ lane answers its queue one item at a time, in FIFO order:
    Duplicate in-flight fingerprints explore once: the first explores
    and memoises, the rest hit the memo when their turn comes;
 2. **explore** — any other request is one :func:`repro.api.explore`
-   call, so a served answer is the one-shot answer by construction.
-   The item's listener, if any, sees that call's events and no other's;
+   call, and a new evaluate budget is one :func:`repro.api.evaluate`
+   call on the memoised exploration, so a served answer is the one-shot
+   answer by construction.  The item's listener, if any, sees those
+   calls' events and no other's;
 3. **answer** — each item is answered through its thread-safe
    ``deliver``/``fail`` callbacks (the server bridges these onto its
    event loop).
@@ -33,7 +34,6 @@ import queue
 import threading
 from collections import OrderedDict
 
-from ..config import ISEConstraints
 # Stage 1 runs through the flow's shared front end; optimize stays
 # importable here for the layer tracer in perfbench/layers.py.
 from ..ir.passes.pipeline import optimize  # noqa: F401
@@ -51,14 +51,17 @@ _STOP = object()
 
 
 class _MemoEntry:
-    """One explored fingerprint: its answer and the selections made on it."""
+    """One explored fingerprint: its answer and the selections made on it.
 
-    __slots__ = ("payload", "explored", "flow", "selections")
+    ``result`` is the :class:`repro.api.ExploreResult` the answer came
+    from; evaluates at a new budget select on it.
+    """
 
-    def __init__(self, payload, explored, flow):
+    __slots__ = ("payload", "result", "selections")
+
+    def __init__(self, payload, result):
         self.payload = payload
-        self.explored = explored
-        self.flow = flow
+        self.result = result
         self.selections = OrderedDict()   # selection key -> payload
 
 
@@ -215,6 +218,7 @@ class ScopeLane:
         from ..api import explore
 
         req = item.request
+        observer = _observer(item)
         fingerprint = schema.explore_fingerprint(req)
         with self._memo_lock:
             entry = self._memo.get(fingerprint)
@@ -222,27 +226,31 @@ class ScopeLane:
                 self._memo.move_to_end(fingerprint)
         if entry is not None:
             self._bump("serve.memo_hits")
-            self._finish(item, entry)
+            self._finish(item, entry, observer)
             return
         result = explore(
             req["workload"], issue=req["issue"], ports=req["ports"],
             profile=req["profile"], jobs=req["jobs"], batch=req["batch"],
             seed=req["seed"], opt=req["opt"], iterations=req["iterations"],
-            restarts=req["restarts"], observer=_observer(item),
+            restarts=req["restarts"], observer=observer,
             engine=req["engine"])
         # Memoised flows must not hold the subscriber's observer.
         result.flow.obs = NULL_OBSERVER
         payload = schema.explore_payload(result)
         payload["digest"] = schema.explore_digest(payload)
-        entry = _MemoEntry(payload, result.explored, result.flow)
+        entry = _MemoEntry(payload, result)
         with self._memo_lock:
             self._memo[fingerprint] = entry
             while len(self._memo) > self.memo_entries:
                 self._memo.popitem(last=False)
-        self._finish(item, entry)
+        self._finish(item, entry, observer)
 
-    def _finish(self, item, entry):
-        """Answer one item from a memo entry, storing a new selection."""
+    def _finish(self, item, entry, observer):
+        """Answer one item from a memo entry, storing a new selection.
+
+        A selection not stored yet is made by :meth:`_select`, which
+        streams its events to ``observer``.
+        """
         req = item.request
         try:
             if req["op"] != "evaluate":
@@ -252,7 +260,7 @@ class ScopeLane:
             with self._memo_lock:
                 payload = entry.selections.get(key)
             if payload is None:
-                payload = self._select(req, entry.explored, entry.flow)
+                payload = self._select(req, entry.result, observer)
                 with self._memo_lock:
                     entry.selections[key] = payload
                     while len(entry.selections) > SELECTIONS_PER_ENTRY:
@@ -262,24 +270,13 @@ class ScopeLane:
             item.fail(error)
 
     @staticmethod
-    def _select(req, explored, flow):
+    def _select(req, result, observer):
         """Budgeted selection on a finished exploration (deterministic)."""
-        constraints = ISEConstraints(max_area=req["max_area"],
-                                     max_ises=req["max_ises"])
-        report = flow.evaluate(explored, constraints,
-                               enable_sharing=req["enable_sharing"])
-        payload = {
-            "kind": "selection",
-            "workload": req["workload"], "opt": req["opt"],
-            "issue": req["issue"], "ports": req["ports"],
-            "max_area": req["max_area"], "max_ises": req["max_ises"],
-            "baseline_cycles": report.baseline_cycles,
-            "final_cycles": report.final_cycles,
-            "reduction": report.reduction,
-            "num_ises": report.num_ises, "area": report.area,
-            "ises": [entry.representative.describe()
-                     for entry in report.selection.selected],
-        }
+        from ..api import evaluate
+
+        payload = schema.selection_payload(evaluate(
+            result, max_area=req["max_area"], max_ises=req["max_ises"],
+            enable_sharing=req["enable_sharing"], observer=observer))
         payload["digest"] = schema.selection_digest(payload)
         return payload
 

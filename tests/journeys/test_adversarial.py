@@ -1,5 +1,4 @@
-"""Adversarial service journeys: hostile concurrency, dying workers,
-and cache poisoning across machine scopes.
+"""Adversarial service journeys: hostile concurrency and dying workers.
 
 These are the "prove it" counterparts to the happy-path journeys:
 
@@ -10,9 +9,6 @@ These are the "prove it" counterparts to the happy-path journeys:
 * A pool worker SIGKILLed while a request is in flight must surface a
   structured error on that request (never a hang), and the very next
   request must succeed on a recreated pool.
-* Forged evalcache rows planted under one machine scope must never
-  leak into another scope's results, even when the poison sits in the
-  shared-memory table the pool workers actually consult.
 """
 
 import os
@@ -162,76 +158,3 @@ def test_worker_sigkill_mid_request_structured_error(serve_server,
     replacement = active_pool()
     assert replacement is not None
     assert killed[0] not in replacement.worker_pids()
-
-
-# -- cache poisoning across scopes -------------------------------------------
-
-def test_forged_scope_rows_never_poison_other_scope(monkeypatch):
-    """Plant absurd cycle counts in the pool's shared evalcache table
-    under a forged machine scope whose key *suffixes* byte-match scope
-    B's real rows.  Scope B's served exploration on that very pool must
-    ignore them entirely — its digest stays identical to a cache-free
-    one-shot run."""
-    from repro.core import parallel
-    from repro.core.pool import SharedEvalCache
-
-    # Both rounds fan out (jobs=2) so the workers really consult the
-    # shared table; widen the CPU clamp so that happens even on a
-    # single-CPU container.
-    monkeypatch.setattr(parallel, "_available_cpus", lambda: 4)
-
-    scope_b = b"2is|4/2|"          # issue=2, ports=4/2 (FAST's machine)
-    scope_a = b"9is|9/9|"          # forged: no real machine hashes here
-
-    reference = _reference_digest("crc32", seed=31, **FAST)
-
-    # Round 1: a served jobs=2 explore folds scope B's real rows into
-    # the shared table; record their key bytes as the parent folds.
-    real_keys = []
-    fold = SharedEvalCache.insert
-
-    def recording_insert(self, key_bytes, value):
-        if key_bytes.startswith(scope_b):
-            real_keys.append(key_bytes)
-        return fold(self, key_bytes, value)
-
-    shutdown_pools()                # next dispatch builds a fresh pool
-    monkeypatch.setattr(SharedEvalCache, "insert", recording_insert)
-    # The first server stays up until the end: stopping a server tears
-    # the process's pool down, and round 2 must run on this very pool.
-    first_server = ExploreServer(port=0)
-    first_server.start_in_thread()
-    try:
-        with ServiceClient(first_server.address) as client:
-            first = client.explore("crc32", seed=31, jobs=2, **FAST)
-        assert _digest(first) == reference
-        monkeypatch.setattr(SharedEvalCache, "insert", fold)
-        assert real_keys, "scope B rows never reached the shared table"
-
-        # Forge scope-A rows whose unqualified suffix byte-matches
-        # scope B's, each claiming an absurdly perfect 1-cycle result.
-        # No dispatch is in flight, so the parent may write the table.
-        pool = active_pool()
-        assert pool is not None
-        forged = [scope_a + key[len(scope_b):] for key in real_keys]
-        for key in forged:
-            pool.cache.insert(key, 1)
-        assert all(pool.cache.lookup(key) == 1 for key in forged)
-
-        # Round 2: fresh server (no memo), same poisoned pool — scope B
-        # re-explores with its workers reading the shared table.
-        dispatches = pool.stats["dispatches"]
-        server = ExploreServer(port=0)
-        server.start_in_thread()
-        try:
-            with ServiceClient(server.address) as client:
-                second = client.explore("crc32", seed=31, jobs=2, **FAST)
-            assert active_pool() is pool
-            assert pool.stats["dispatches"] > dispatches
-            assert pool.cache.lookup(forged[0]) == 1  # poison still there
-        finally:
-            server.stop()
-        assert _digest(second) == reference
-    finally:
-        first_server.stop()
-        shutdown_pools()

@@ -263,26 +263,6 @@ class TestBatchedRows:
             assert bool(legal[k]) == \
                 oracle.is_legal_reference(dfg, members, CONS)
 
-    def test_io_counts_rows_matches_scalar(self):
-        dfg = random_dfg(31, n_nodes=40)
-        view = bitset_view(dfg)
-        pools = [set(dfg.nodes[k:k + 5]) for k in range(0, 35, 5)]
-        n_in, n_out = view.io_counts_rows(view.pack_rows(pools))
-        for k, members in enumerate(pools):
-            assert (int(n_in[k]), int(n_out[k])) == (
-                len(oracle.input_values(dfg, members)),
-                len(oracle.output_values(dfg, members)))
-
-    def test_convex_rows_matches_scalar(self):
-        dfg = random_dfg(37, n_nodes=40)
-        view = bitset_view(dfg)
-        pools = [set(dfg.nodes[k:k + 6]) for k in range(0, 30, 2)]
-        pools.append({dfg.nodes[0], dfg.nodes[-1]})
-        convex = view.convex_rows(view.pack_rows(pools))
-        for k, members in enumerate(pools):
-            assert bool(convex[k]) == \
-                oracle.is_convex_reference(dfg, members)
-
     def test_empty_batch(self):
         view = bitset_view(chain_dfg())
         rows = view.pack_rows([])

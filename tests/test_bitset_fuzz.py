@@ -11,11 +11,13 @@ three ways:
   (``*_reference`` / ``input_values`` / ``output_values``) — the
   oracle,
 * the scalar bitset fast path,
-* the batched row APIs (whole candidate pool as one matrix op).
+* the batched row API (legality of the whole candidate pool in one
+  call).
 
 All three must agree **exactly** on every (block, candidate) pair —
 convexity, IN/OUT counts, legality, ``check_candidate`` error
-messages and connectivity (the last against networkx directly).  Any
+messages and connectivity (the last against networkx directly); the
+row API answers legality only.  Any
 failure reproduces from the printed seeds alone.
 """
 
@@ -58,23 +60,19 @@ def test_bitset_matches_reference(seed):
              for __ in range(CANDIDATES_PER_BLOCK)]
 
     rows = view.pack_rows(pools)
-    conv_rows = view.convex_rows(rows)
-    nin_rows, nout_rows = view.io_counts_rows(rows)
     legal_rows = {cons: view.legal_rows(rows, cons)
                   for cons in CONSTRAINT_GRID}
 
     for k, members in enumerate(pools):
         where = "seed={} candidate={} members={}".format(
             seed, k, sorted(members))
-        # Convexity: scalar and batched vs oracle.
+        # Convexity vs oracle.
         expected = oracle.is_convex_reference(dfg, members)
         assert view.is_convex(members) == expected, where
-        assert bool(conv_rows[k]) == expected, where
         # IN/OUT counts (the multi-producer stress lives here).
         counts = (len(oracle.input_values(dfg, members)),
                   len(oracle.output_values(dfg, members)))
         assert view.io_counts(members) == counts, where
-        assert (int(nin_rows[k]), int(nout_rows[k])) == counts, where
         # Legality + error-message parity under both port budgets.
         for cons in CONSTRAINT_GRID:
             legal = oracle.is_legal_reference(dfg, members, cons)

@@ -1,11 +1,12 @@
-"""Golden digests of the comparator engines: ``si``, ``greedy``,
-``annealing`` and ``exact``.
+"""Golden digests of the comparator engines: ``si``, ``isegen``,
+``greedy``, ``annealing`` and ``exact``.
 
 Each digest is a SHA-256 over every result's ``(base, final, rounds,
 iterations)`` plus, per fixed candidate, its sorted members, their
 option labels, its cycle saving and its area.  The hex values were
-pinned from the stand-alone comparator explorers the engines replaced,
-so a mismatch means a comparator's answers changed.
+pinned from the stand-alone comparator explorers the engines replaced
+(``isegen``'s from the engine itself), so a mismatch means a
+comparator's answers changed.
 
 Blocks: the three A5 ablation blocks (crc32 ``bit_loop``, bitcount
 ``word_loop``, fft ``bfly``) plus the other crc32/bitcount hot blocks
@@ -35,6 +36,8 @@ A5_BLOCKS = (("crc32", "crc32", "bit_loop"),
 GOLDEN = {
     "si": "0823c0a3a3558de42964122b8188a557"
           "a05639fd165520af500949dcc1be52a4",
+    "isegen": "45b3b213cae9795b36e6d734bc90c9bc"
+              "33f4a267eec64351a955502e0cf03bd5",
     "greedy": "a6818a8b006faf7ffc3fe9b200534ace"
               "9f448e0cdfb580dde3185258ca4dd29c",
     "annealing": "3cf28745c672c14d7b12c8fb12477390"
@@ -46,6 +49,7 @@ GOLDEN = {
 CONFIGS = {
     "si": dict(params=ExplorationParams(max_iterations=30, restarts=1,
                                         max_rounds=4), seed=7),
+    "isegen": dict(seed=7),
     "greedy": {},
     "annealing": dict(seed=7, steps=600),
     "exact": {},

@@ -1,5 +1,5 @@
-"""Worker-pool tests: stealing, ordered replay, persistence, shared
-evalcache scoping and shared-memory leak guards.
+"""Worker-pool tests: stealing, ordered replay, persistence and
+shared-memory leak guards.
 
 Everything here drives the pool explicitly (``parallel_map`` with
 ``jobs>1`` or :class:`WorkerPool` directly) — the ``resolve_jobs``
@@ -9,23 +9,16 @@ clamp would otherwise serialise the whole file on a one-core CI box.
 import io
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
 
 import pytest
 
-from repro.core import pool as pool_mod
-from repro.core.evalcache import EvalCache
 from repro.core.parallel import parallel_map
-from repro.core.pool import (
-    SharedEvalCache,
-    WorkerPool,
-    active_pool,
-    get_pool,
-    shared_key_bytes,
-    shutdown_pools,
-)
+from repro.core.pool import WorkerPool, active_pool, get_pool, shutdown_pools
 from repro.errors import ReproError
 from repro.obs import MemorySink, Observer, ProgressSink
 
@@ -58,116 +51,6 @@ def _emit(obs, index, delay):
               iterations=1, converged=True, proposals=0, tet_best=index)
     obs.count("pool_test.tasks")
     return index
-
-
-class TestSharedEvalCache:
-    def test_insert_lookup_roundtrip(self):
-        cache = SharedEvalCache(slots=256)
-        try:
-            assert cache.lookup(b"missing") is None
-            assert cache.insert(b"alpha", 42)
-            assert cache.insert(b"beta", -7)
-            assert cache.lookup(b"alpha") == 42
-            assert cache.lookup(b"beta") == -7
-            assert not cache.insert(b"alpha", 99)     # first write wins
-            assert cache.lookup(b"alpha") == 42
-            assert cache.count == 2
-        finally:
-            cache.close()
-
-    def test_load_limit_stops_inserts(self):
-        cache = SharedEvalCache(slots=64)
-        try:
-            inserted = sum(
-                cache.insert(str(i).encode(), i) for i in range(64))
-            assert inserted == cache.limit
-            assert not cache.insert(b"one-more", 1)
-        finally:
-            cache.close()
-
-    def test_attach_sees_owner_entries(self):
-        owner = SharedEvalCache(slots=128)
-        reader = None
-        try:
-            owner.insert(b"key", 1234)
-            reader = SharedEvalCache.attach(owner.name, owner.slots)
-            assert reader.lookup(b"key") == 1234
-            assert reader.lookup(b"nope") is None
-        finally:
-            if reader is not None:
-                reader.close()
-            owner.close()
-
-    def test_snapshot_preload_carries_entries(self):
-        first = SharedEvalCache(slots=128)
-        second = SharedEvalCache(slots=256)
-        try:
-            for i in range(10):
-                first.insert(str(i).encode(), i * 11)
-            second.preload(first.snapshot_rows())
-            for i in range(10):
-                assert second.lookup(str(i).encode()) == i * 11
-        finally:
-            first.close()
-            second.close()
-
-    def test_close_unlinks_segment(self):
-        cache = SharedEvalCache(slots=64)
-        name = cache.name
-        cache.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        cache.close()                                  # idempotent
-
-
-class TestEvalCacheSharedTier:
-    """The per-explorer cache's hooks into the worker shared tier,
-    simulated in-process by installing the worker globals."""
-
-    @pytest.fixture()
-    def worker_tier(self):
-        shared = SharedEvalCache(slots=256)
-        pool_mod._WORKER_SHARED = shared
-        pool_mod._WORKER_LOG = log = []
-        yield shared, log
-        pool_mod._WORKER_SHARED = None
-        pool_mod._WORKER_LOG = None
-        shared.close()
-
-    def test_put_logs_and_parent_fold_makes_it_a_hit(self, worker_tier):
-        shared, log = worker_tier
-        cache = EvalCache(scope="2is|4/2")
-        key = ("dfg-fp", (), None)
-        assert cache.get(key) is None                  # miss everywhere
-        cache.put(key, 42)
-        assert log == [(shared_key_bytes("2is|4/2", key), 42)]
-        for key_bytes, value in log:                   # the parent fold
-            shared.insert(key_bytes, value)
-        fresh = EvalCache(scope="2is|4/2")
-        assert fresh.get(key) == 42
-        assert fresh.shared_hits == 1 and fresh.hits == 1
-        # Promoted locally: the second probe never touches the table.
-        shared.close()
-        pool_mod._WORKER_SHARED = None
-        assert fresh.get(key) == 42
-
-    def test_shared_entries_are_scope_keyed(self, worker_tier):
-        shared, __ = worker_tier
-        key = ("dfg-fp", (), None)
-        shared.insert(shared_key_bytes("2is|4/2", key), 10)
-        same_scope = EvalCache(scope="2is|4/2")
-        other_scope = EvalCache(scope="4is|10/5")
-        assert same_scope.get(key) == 10
-        # A different machine must never see this cycle count.
-        assert other_scope.get(key) is None
-        assert other_scope.shared_hits == 0
-
-    def test_non_int_values_stay_out_of_the_shared_log(self, worker_tier):
-        __, log = worker_tier
-        cache = EvalCache(scope="s")
-        cache.put(("k",), 1.5)
-        assert log == []
-        assert cache.get(("k",)) == 1.5                # local tier still has it
 
 
 class TestWorkerPool:
@@ -245,11 +128,9 @@ class TestWorkerPool:
 
     def test_get_pool_grows_and_keeps_shared_cache(self):
         small = get_pool(2)
-        small.cache.insert(b"carried", 77)
         grown = get_pool(4)
         assert grown is not small
         assert grown.workers == 4
-        assert grown.cache.lookup(b"carried") == 77
         assert get_pool(2) is grown                    # no shrink churn
 
     def test_shutdown_pools_is_idempotent(self):
@@ -259,27 +140,55 @@ class TestWorkerPool:
         shutdown_pools()                               # second call: no-op
 
 
+@pytest.fixture()
+def created_segments(monkeypatch):
+    """Names of the shared-memory segments created during the test."""
+    names = []
+    real = shared_memory.SharedMemory
+
+    class Recording(real):
+        def __init__(self, name=None, create=False, size=0):
+            super().__init__(name=name, create=create, size=size)
+            if create:
+                names.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+    return names
+
+
+def _assert_unlinked(names):
+    assert names, "no shared-memory segment was created"
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
 class TestLeakGuards:
-    def test_killed_worker_does_not_strand_segments(self):
+    def test_dispatch_unlinks_its_broadcast_segment(self, created_segments):
+        pool = get_pool(2)
+        assert pool.run(_square, [(i,) for i in range(6)]) \
+            == [i * i for i in range(6)]
+        _assert_unlinked(created_segments)
+
+    def test_killed_worker_does_not_strand_segments(self, created_segments):
         """Satellite: SIGKILL-ing a worker must not leave shared memory
         behind once the pool is torn down."""
         pool = get_pool(2)
-        cache_name = pool.cache.name
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         time.sleep(0.1)
         with pytest.raises(ReproError):
             pool.run(_square, [(i,) for i in range(6)])
         assert pool.broken
         shutdown_pools()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=cache_name)
+        _assert_unlinked(created_segments)
         # The registry recovers with a fresh pool on the next dispatch.
         assert parallel_map(_square, [(i,) for i in range(4)], 2) \
             == [0, 1, 4, 9]
+        _assert_unlinked(created_segments)
 
-    def test_worker_killed_mid_dispatch_raises_and_unlinks(self):
+    def test_worker_killed_mid_dispatch_raises_and_unlinks(
+            self, created_segments):
         pool = get_pool(2)
-        cache_name = pool.cache.name
         victim = pool.worker_pids()[0]
         outcome = {}
 
@@ -297,8 +206,26 @@ class TestLeakGuards:
         assert not thread.is_alive()
         assert isinstance(outcome.get("error"), ReproError)
         assert pool.broken
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=cache_name)
+        _assert_unlinked(created_segments)
+
+    def test_workers_share_the_parent_resource_tracker(self):
+        """A worker that started its own tracker would warn about, and
+        re-unlink, every broadcast segment it attached to when it exits.
+        Run in a fresh process, where no tracker is running yet."""
+        script = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.core.pool import get_pool, shutdown_pools\n"
+            "def tracker_pid():\n"
+            "    return resource_tracker._resource_tracker._pid\n"
+            "pids = set(get_pool(2).run(tracker_pid, [()] * 4))\n"
+            "shutdown_pools()\n"
+            "assert pids == {tracker_pid()}, pids\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
 
     def test_eval_context_close_releases_pool(self):
         from repro.eval.runner import EvalContext

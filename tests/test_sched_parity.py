@@ -333,20 +333,17 @@ class TestTrialScoring:
 
     def test_cache_keys_equal_the_per_call_formula(self):
         from repro.core.evalcache import EvalCache
-        from repro.core.pool import shared_key_bytes
         from repro.engines.base import ExplorerEngine
 
         rng = random.Random(5)
         dfg = random_dfg(6, n_nodes=32)
         engine = ExplorerEngine(MACHINES[1])
         tables = engine._default_tables(dfg)
-        cache = EvalCache("scope")
+        cache = EvalCache()
         for candidates in _trials(dfg, rng, 8):
             __, latencies = block_skeleton(dfg).latencies(tables)
             key = cache.key(dfg, candidates, latencies)
             assert key == _frozen_key(dfg, candidates, tables)
-            assert (shared_key_bytes("scope", key) == shared_key_bytes(
-                "scope", _frozen_key(dfg, candidates, tables)))
 
     def test_budget_charges_once_per_uncached_evaluation(self):
         from repro.engines.base import EvalBudget

@@ -323,9 +323,9 @@ def _count_lane_calls(monkeypatch):
         calls["submit"] += 1
         return submit(self, item)
 
-    def counted_select(req, explored, flow):
+    def counted_select(*args):
         calls["select"] += 1
-        return select(req, explored, flow)
+        return select(*args)
 
     monkeypatch.setattr(ScopeLane, "submit", counted_submit)
     monkeypatch.setattr(ScopeLane, "_select", staticmethod(counted_select))
@@ -591,6 +591,24 @@ def test_subscribe_streams_progress_events(server, client):
     before = len(client.events)
     client.explore("crc32", seed=72, **FAST)
     assert len(client.events) == before
+
+
+def test_subscribed_evaluate_streams_its_selection(server, client):
+    """A fresh evaluate streams its explore and its ``flow.evaluate``;
+    a new budget on the memoised exploration streams only the latter.
+    Both answers equal the one-shot answers."""
+    client.subscribe()
+    for area, kinds_wanted in ((80_000.0, {"flow.explored", "flow.evaluate"}),
+                               (20_000.0, {"flow.evaluate"})):
+        rid = client.send(dict(FAST, op="evaluate", workload="crc32",
+                               seed=73, max_area=area))
+        served = client.wait(rid)
+        kinds = {record.get("kind") for request_id, record in client.events
+                 if request_id == rid}
+        assert kinds_wanted <= kinds
+        assert ("flow.explored" in kinds) == ("flow.explored" in kinds_wanted)
+        assert schema.selection_digest(served) == schema.selection_digest(
+            _one_shot_selection(73, area))
 
 
 def test_status_reports_counters_scopes_and_jobs(server, client):
