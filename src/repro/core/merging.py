@@ -7,9 +7,15 @@ cycles are not shorter than the identical subgraph inside A (otherwise
 replacing B-sites with A's slower sub-hardware would lose performance),
 and (2) A and B never execute simultaneously — guaranteed on machines
 with a single ASFU issue slot, which is the evaluated configuration.
+
+B's pattern is in A's when it maps onto A's nodes by a subgraph
+monomorphism with equal opcodes; condition (1) is checked on every
+distinct node set it maps onto
+(:func:`~repro.graph.subgraph.pattern_occurrences`, the native matcher
+replacement uses too).
 """
 
-from ..graph.subgraph import contains_pattern, opcode_matcher, same_pattern
+from ..graph.subgraph import pattern_occurrences, same_pattern
 
 
 class MergedISE:
@@ -80,8 +86,8 @@ def _find_host(hosts, candidate, pattern):
         rep = entry.representative
         if same_pattern(rep_pattern, pattern):
             return entry
-        if not contains_pattern(rep_pattern, pattern):
-            continue
+        # With no occurrence of the pattern the check fails, so it also
+        # tests containment.
         if _subgraph_cycles_ok(rep, rep_pattern, candidate, pattern):
             return entry
     return None
@@ -92,13 +98,12 @@ def _subgraph_cycles_ok(rep, rep_pattern, candidate, pattern):
     subgraph inside the representative (measured with the
     representative's hardware options)."""
     rep_members = sorted(rep.members)
-    with opcode_matcher(rep_pattern, pattern) as matcher:
-        for mapping in matcher.subgraph_monomorphisms_iter():
-            mapped_uids = {rep_members[host_idx] for host_idx in mapping}
-            delay = _chain_delay(rep, mapped_uids)
-            sub_cycles = rep.technology.cycles_for_delay(delay)
-            if candidate.cycles >= sub_cycles:
-                return True
+    for nodes in pattern_occurrences(rep_pattern, pattern):
+        mapped_uids = {rep_members[host_idx] for host_idx in nodes}
+        delay = _chain_delay(rep, mapped_uids)
+        sub_cycles = rep.technology.cycles_for_delay(delay)
+        if candidate.cycles >= sub_cycles:
+            return True
     return False
 
 

@@ -12,6 +12,10 @@ realizable with the ISE's per-opcode options and inside the pipestage
 limit, with its chain length.  The raw legal matches behind the
 proposals are memoised on the block DFG itself (:func:`legal_matches`),
 so every plan over a shared block matches each pattern there once.
+Matching is the native backtracking matcher of
+:func:`~repro.graph.subgraph.find_matches` over the block's cached bit
+row host; the order in which it finds matches does not matter, since
+the pick sorts them on a key that is distinct within one ISE.
 The per-budget half joins the proposals of the selected ISEs in
 selection order and picks disjoint jointly-acyclic matches greedily:
 each pick extends the open contraction of the picks so far, and a pick
@@ -140,7 +144,7 @@ def legal_matches(dfg, pattern, constraints, obs=None):
     if found is not None:
         return found, True
     found = tuple(members for members in find_matches(
-        dfg, pattern, constraints, obs=obs, host=memo.host)
+        dfg, pattern, constraints, obs=obs)
         if is_legal(dfg, members, constraints))
     if len(memo.matches) >= MATCH_MEMO_CAP:
         memo.matches.clear()

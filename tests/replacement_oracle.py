@@ -3,7 +3,8 @@ greedy pick.
 
 These are the implementations replacement used before it moved onto
 open prefix contractions and the per-DFG match memo: every proposal
-list runs ``find_matches`` afresh, chain lengths walk
+list runs ``find_matches`` afresh (networkx VF2, from
+``match_oracle``), chain lengths walk
 ``nx.topological_sort`` of the match subgraph, and every greedy pick
 builds a new quotient ``nx.DiGraph`` of all picks so far to test that
 their joint contraction stays acyclic.  The parity tests hold the
@@ -21,7 +22,8 @@ from repro.core.replacement import (
     _realize,
 )
 from repro.graph.analysis import is_legal
-from repro.graph.subgraph import find_matches
+
+from match_oracle import find_matches
 
 
 def match_proposals(dfg, rep, constraints, technology):

@@ -1,7 +1,7 @@
 """Round state dies by reference count, not in the cyclic collector.
 
 Each round contracts its winner into a new block DFG, and merging and
-replacement build pattern graphs and VF2 matchers.  None of them may
+replacement build pattern graphs and match hosts.  None of them may
 close a reference cycle: with the collector off, a full explore /
 evaluate / sweep run must leave nothing for ``gc.collect()`` to find
 that belongs to the program or is a networkx graph.  The walks that

@@ -521,13 +521,16 @@ def test_quota_rejects_excess_inflight_requests():
 
 
 def test_request_timeout_answers_structured_timeout(server, client):
+    # An explore far longer than the timeout: a fast one can finish on
+    # the lane before the event loop gets to run the timer.
+    heavy = dict(profile="quick", iterations=400, restarts=4)
     with pytest.raises(ServiceError) as err:
-        client.explore("crc32", seed=31, timeout=0.0001, **FAST)
+        client.explore("crc32", seed=31, timeout=0.0001, **heavy)
     assert err.value.code == "timeout"
     assert server.counters.get("serve.timeouts", 0) == 1
     # The lane finishes (and memoises) regardless; the next identical
     # request answers from the memo.
-    assert client.explore("crc32", seed=31, **FAST)["workload"] == "crc32"
+    assert client.explore("crc32", seed=31, **heavy)["workload"] == "crc32"
 
 
 def test_cancel_inflight_request(server, client):
